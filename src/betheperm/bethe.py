@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .matrices import (
     DoublyStochMatrix,
@@ -124,6 +123,14 @@ def _gradient_np(a: np.ndarray, p: np.ndarray, gamma: float,
     safe_a = np.where(face, a, 1.0)
     g = np.log(safe_a) - np.log(pc) - 1.0 + gamma * (np.log1p(-pc) + 1.0)
     return np.where(face, g, 0.0)
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.optimize.linear_sum_assignment, with scipy imported on the first
+    call rather than with the package (the import takes about 0.3 s)."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def _fw_gap(g: np.ndarray, p: np.ndarray, face: np.ndarray) -> float:

@@ -259,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="check only this many randomly sampled cells")
     cert.add_argument("--seed", type=int, default=None)
     cert.add_argument("--threads", type=int, default=1,
-                      help="worker processes for the full run")
+                      help="accepted for compatibility and ignored: the full "
+                           "run filters cells by integer log intervals in one "
+                           "process")
     cert.add_argument("--failures-log", default=None,
                       help="append failing cells to this file, one i,j per line")
     cert.set_defaults(func=_cmd_certify)

@@ -2,20 +2,21 @@
 
 The gap function on the simplex attains its maximum log 2; certifying that
 bound over the hard region reduces to finitely many arbitrary-precision
-integer comparisons on an epsilon-net, which :func:`certify` runs cell by
-cell.  Everything on the certificate path is exact: no floats are consulted
-when deciding a cell.
+integer comparisons on an epsilon-net, one per cell (:func:`verify_cell`).
+:func:`certify` decides the whole grid at once from integer brackets on
+2^K log2(x), evaluated as int64 interval bounds on each cell's log2 margin;
+only the cells in the guard band, where the interval straddles zero, fall
+back to the bigint comparison.  Everything on the certificate path is
+integer arithmetic: no floats are consulted when deciding a cell.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
-from scipy.special import xlogy
 
 from .matrices import Scalar, StochasticVector, is_exact_scalar, log_scalar
 
@@ -267,62 +268,135 @@ def verify_cell(i: int, j: int, n_grid: int) -> bool:
     return lhs <= rhs
 
 
-def _certificate_tables(n_grid: int):
+def log2_bounds(n: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer brackets lo[x] <= 2^bits * log2(x) <= hi[x] for x = 1..n.
+
+    Each x = 2^e * y with y in [1, 2) is walked through ``bits`` binary
+    digits of log2(y) by repeated squaring in fixed point, once with every
+    rounding taken down (the lower bracket) and once with every rounding
+    taken up (the upper bracket).  Eight guard bits keep the accumulated
+    rounding under one unit, so hi[x] - lo[x] <= 2.  Only integer
+    arithmetic is used; index 0 is unused and left at zero.
+    """
+    point = bits + 8
+    one = 1 << point
+    two = one << 1
+    lo = np.zeros(n + 1, dtype=np.int64)
+    hi = np.zeros(n + 1, dtype=np.int64)
+    for x in range(1, n + 1):
+        e = x.bit_length() - 1
+        down = up = x << (point - e)
+        low = high = 0
+        for _ in range(bits):
+            down = (down * down) >> point
+            up = -((-up * up) >> point)
+            low <<= 1
+            high <<= 1
+            if down >= two:
+                down >>= 1
+                low += 1
+            if up >= two:
+                up = (up + 1) >> 1
+                high += 1
+        # the remainders lie in [1, 2], so their log2 adds [0, 1] units
+        lo[x] = (e << bits) + low
+        hi[x] = (e << bits) + high + (up != one)
+    return lo, hi
+
+
+def _coefficient_sum(n_grid: int) -> int:
+    # largest sum of |exponent| over the log terms of one cell
+    return 4 * n_grid + 8 * loop_bound(n_grid) + 12
+
+
+def _log_bits(n_grid: int) -> int:
+    """Fixed-point bits K for the log table: the most that keeps every cell's
+    int64 sums below 2^62, since each log2 bracket is below 2^K * bitlen(N)."""
+    bits = 62 - (_coefficient_sum(n_grid) * n_grid.bit_length()).bit_length()
+    # a cell's interval is about 2 * coefficient sum / 2^bits bits wide; below
+    # 24 bits it would widen toward the margins and send cells to the bigints
+    if bits < 24:
+        raise ValueError(f"grid resolution {n_grid} is too large for int64 log intervals")
+    return bits
+
+
+def _interval_grid(n_grid: int, lo: np.ndarray, hi: np.ndarray, bits: int):
+    """Decide every cell of the grid from log2 brackets at ``bits`` fixed-point bits.
+
+    In log2 form, rhs - lhs of the :func:`verify_cell` inequality is
+
+        N + (N-i+j+1) L(N-i-1) + (N+i-j+1) L(N-j-1) + 2(i+j+2) L(B)
+          - i L(i+1) - j L(j+1) - (2N+i+j+6) L(N),
+
+    so brackets on each L give integer lower and upper bounds on 2^bits times
+    it.  A cell passes when the lower bound is >= 0 and fails when the upper
+    bound is < 0 or B = 0; the cells in between (the guard band) go to
+    :func:`verify_cell`.
+
+    Returns the sorted failing cells, the number of guard-band cells, the
+    cell with the smallest lower bound among those with B > 0, and that
+    lower bound.
+    """
     m = loop_bound(n_grid)
-    selfpow = [(k + 1) ** k for k in range(m + 1)]
-    pow_n = [n_grid ** (2 * n_grid + 6)]
-    for _ in range(2 * m):
-        pow_n.append(pow_n[-1] * n_grid)
-    midpow = [k ** (2 * (k + 2)) for k in range(2 * m + 1)]
-    colpow = [(n_grid - j - 1) ** (n_grid - j + 1) for j in range(m + 1)]
-    two_n = 2 ** n_grid
-    return m, selfpow, pow_n, midpow, colpow, two_n
+    extreme = max(int(np.abs(lo).max()), int(np.abs(hi).max()))
+    if (n_grid << bits) + extreme * _coefficient_sum(n_grid) >= 1 << 63:
+        raise ValueError(f"log brackets at {bits} bits overflow int64 at N = {n_grid}")
+    j = np.arange(m + 1, dtype=np.int64)
+    failures: list[tuple[int, int]] = []
+    fallbacks = 0
+    tightest, least = None, None
+    rows = max(1, (1 << 18) // (m + 1))  # bounds the temporaries to ~2 MB each
+    for first in range(0, m + 1, rows):
+        i = np.arange(first, min(first + rows, m + 1), dtype=np.int64)[:, None]
+        base = i + j
+        if first == 0 and _uses_origin_variant(0, 0, n_grid):
+            base[0, 0] = 2
+        a = n_grid - i + j + 1
+        b = n_grid + i - j + 1
+        c = 2 * (i + j + 2)
+        d = 2 * n_grid + i + j + 6
 
+        def bound(pos, neg):
+            return ((n_grid << bits) + a * pos[n_grid - i - 1] + b * pos[n_grid - j - 1]
+                    + c * pos[base] - i * neg[i + 1] - j * neg[j + 1]
+                    - d * neg[n_grid])
 
-def _row_failures(i: int, n_grid: int, tables) -> list[int]:
-    """Failing j indices of row i, using per-row incremental exponent reuse."""
-    m, selfpow, pow_n, midpow, colpow, two_n = tables
-    base = n_grid - i - 1
-    running = base ** (n_grid - i + 1)  # exponent advances by one per column
-    origin = _uses_origin_variant(0, 0, n_grid)
-    row_lhs = selfpow[i]
-    failures = []
-    for j in range(m + 1):
-        lhs = row_lhs * selfpow[j] * pow_n[i + j]
-        if i == 0 and j == 0 and origin:
-            last = 2 ** (2 * (i + j + 2))
-        else:
-            last = midpow[i + j]
-        rhs = two_n * running * (colpow[j] * (n_grid - j - 1) ** i) * last
-        if lhs > rhs:
-            failures.append(j)
-        running *= base
-    return failures
-
-
-_WORKER_TABLES = None
-_WORKER_N = None
-
-
-def _worker_init(n_grid: int) -> None:
-    global _WORKER_TABLES, _WORKER_N
-    _WORKER_N = n_grid
-    _WORKER_TABLES = _certificate_tables(n_grid)
-
-
-def _worker_row(i: int) -> list[int]:
-    return _row_failures(i, _WORKER_N, _WORKER_TABLES)
+        lower = bound(lo, hi)
+        upper = bound(hi, lo)
+        open_base = base > 0
+        failed = (upper < 0) | ~open_base
+        undecided = ~failed & (lower < 0)
+        for row, col in zip(*np.nonzero(undecided)):
+            fallbacks += 1
+            if not verify_cell(first + int(row), int(col), n_grid):
+                failed[row, col] = True
+        failures.extend((first + int(row), int(col)) for row, col in zip(*np.nonzero(failed)))
+        masked = np.where(open_base, lower, np.iinfo(np.int64).max)
+        row, col = np.unravel_index(int(masked.argmin()), masked.shape)
+        if least is None or masked[row, col] < least:
+            tightest, least = (first + int(row), int(col)), int(masked[row, col])
+    return tuple(failures), fallbacks, tightest, least
 
 
 @dataclass(frozen=True)
 class CertificateRun:
-    """Record of one certificate execution; an empty failure list is the certificate."""
+    """Record of one certificate execution; an empty failure list is the certificate.
+
+    ``fallbacks`` counts the grid cells the log intervals could not decide
+    and :func:`verify_cell` did; ``tightest`` is the cell with the smallest
+    lower bound on log2(rhs / lhs) and ``margin_bits`` that bound.  The
+    three stay at their defaults on a smoke run, which uses
+    :func:`verify_cell` alone.
+    """
 
     n_grid: int
     loop_bound: int
     cells_checked: int
     failures: tuple[tuple[int, int], ...]
     elapsed_s: float
+    fallbacks: int = 0
+    tightest: tuple[int, int] | None = None
+    margin_bits: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -340,15 +414,22 @@ class CertificateRun:
 
 def certify(n_grid: int, smoke: int | None = None, seed: int | None = None,
             workers: int = 1) -> CertificateRun:
-    """Run the exact cell check over the whole (M+1)^2 grid.
+    """Decide every cell of the (M+1)^2 grid, or a random sample of them.
+
+    The full grid is filtered by integer log2 intervals (see
+    :func:`log2_bounds`): a cell whose lower bound is nonnegative passes,
+    one whose upper bound is negative fails, and only the cells in the
+    guard band between are decided by the bigint comparison of
+    :func:`verify_cell`.  A smoke run decides each sampled cell with
+    :func:`verify_cell` alone, an independent spot-check of the filter.
 
     Args:
         n_grid: grid resolution; must exceed 2e (a full pass additionally
             needs the origin-cell variant, which engages above 100).
         smoke: if given, check only this many uniformly sampled cells.
         seed: RNG seed for smoke sampling.
-        workers: processes to distribute rows across; failures are merged
-            in deterministic (i, j) order regardless.
+        workers: accepted for compatibility and ignored; the run takes
+            one process at every resolution.
     """
     if n_grid <= 5:
         raise ValueError("grid resolution must exceed 2e")
@@ -364,18 +445,12 @@ def certify(n_grid: int, smoke: int | None = None, seed: int | None = None,
         return CertificateRun(n_grid, m, smoke, tuple(sorted(failures)),
                               time.perf_counter() - start)
 
-    failures_by_row: list[list[int]]
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_worker_init, initargs=(n_grid,)) as pool:
-            failures_by_row = pool.map(_worker_row, range(m + 1), chunksize=8)
-    else:
-        tables = _certificate_tables(n_grid)
-        failures_by_row = [_row_failures(i, n_grid, tables) for i in range(m + 1)]
-
-    failures = tuple((i, j) for i, row in enumerate(failures_by_row) for j in row)
+    bits = _log_bits(n_grid)
+    failures, fallbacks, tightest, least = _interval_grid(
+        n_grid, *log2_bounds(n_grid, bits), bits)
     return CertificateRun(n_grid, m, (m + 1) ** 2, failures,
-                          time.perf_counter() - start)
+                          time.perf_counter() - start, fallbacks, tightest,
+                          least / (1 << bits))
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +464,8 @@ def phi_max_search(n: int, step: float = 1e-3, within_u: bool = False) -> float:
     outer coordinates stay below 1 - GAMMA (the part not handled by the
     coordinate-merge reduction); there the maximum sits strictly below log 2.
     """
+    from scipy.special import xlogy  # deferred: importing scipy costs 0.3 s
+
     if n == 2:
         q = np.arange(0.0, 1.0 + step / 2, step)
         values = -xlogy(q, q) - xlogy(1.0 - q, 1.0 - q)

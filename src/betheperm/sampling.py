@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .matrices import (
     DoublyStochMatrix,
@@ -302,6 +301,8 @@ def estimate_log_permanent(matrix: NonNegMatrix, dist: NuDistribution | None,
     identity visit order.  Log-domain throughout, so large n does not
     underflow.
     """
+    from scipy.special import logsumexp  # deferred: importing scipy costs 0.3 s
+
     if num_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(rng)

@@ -21,7 +21,7 @@ from betheperm import (
     within_merge_threshold,
 )
 from betheperm.matrices import log_scalar
-from betheperm.phi import _row_failures, _certificate_tables, eval_log_form
+from betheperm.phi import _interval_grid, _log_bits, eval_log_form, log2_bounds
 from tests.test_sampling import random_simplex_point
 
 LOG2 = math.log(2.0)
@@ -262,13 +262,40 @@ class TestCertify:
         assert run.passed
         assert run.elapsed_s < 10.0
 
-    def test_incremental_rows_match_fresh_cells(self):
-        n_grid = 150  # coarse net: some cells genuinely fail
-        m = loop_bound(n_grid)
-        tables = _certificate_tables(n_grid)
-        for i in range(m + 1):
-            expected = [j for j in range(m + 1) if not verify_cell(i, j, n_grid)]
-            assert _row_failures(i, n_grid, tables) == expected
+    def test_interval_grid_matches_fresh_cells(self):
+        # coarse nets have genuine failures; at N <= 100 the origin cell fails
+        for n_grid in (50, 101, 150, 200):
+            m = loop_bound(n_grid)
+            expected = tuple((i, j) for i in range(m + 1) for j in range(m + 1)
+                             if not verify_cell(i, j, n_grid))
+            assert certify(n_grid).failures == expected
+
+    def test_forced_fallback_keeps_failures(self):
+        # brackets widened by 2^10 bits each put every cell in the guard band
+        n_grid, bits = 50, 20
+        lo, hi = log2_bounds(n_grid, bits)
+        widened = 1 << (bits + 10)
+        failures, fallbacks, _, _ = _interval_grid(n_grid, lo - widened, hi + widened, bits)
+        assert fallbacks == (loop_bound(n_grid) + 1) ** 2 - 1  # all but B = 0
+        assert failures == certify(n_grid).failures
+        assert (0, 0) in failures
+
+    def test_log2_brackets(self):
+        bits = _log_bits(300)
+        lo, hi = log2_bounds(300, bits)
+        shift = bits - 16
+        for x in range(1, 301):
+            lo_x, hi_x = int(lo[x]), int(hi[x])
+            assert lo_x <= hi_x <= lo_x + 2
+            power = x ** (1 << 16)
+            assert 1 << (lo_x >> shift) <= power < 1 << ((hi_x >> shift) + 1)
+
+    def test_run_record_at_full_resolution(self):
+        run = certify(2000)
+        assert run.passed and run.cells_checked == 881 ** 2
+        assert run.fallbacks == 0
+        assert run.tightest == (0, 880)
+        assert 10.28 <= run.margin_bits <= 10.29
 
     def test_full_run_small_grid_records_failures(self):
         run = certify(150)

@@ -1,4 +1,4 @@
-"""Matrix and vector domain types, constructions, and Sinkhorn scaling.
+"""Matrix and vector types, constructions, support analysis, Sinkhorn scaling.
 
 Values are immutable after construction; every operation here is a pure
 function of its inputs.  Matrices carry either float64 entries or exact
@@ -17,9 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 Scalar = int | float | Fraction
-
-#: Exact rational scalar used by the certificate and small-n exact paths.
-BigRational = Fraction
 
 #: Default tolerance for doubly stochastic validation in float mode.
 DEFAULT_DS_TOL = 1e-9
@@ -238,86 +235,55 @@ def pair_block_matrix(m: int) -> NonNegMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Bipartite support matching (Hopcroft-Karp)
+# Support analysis: one maximum matching, then strongly connected components
 # ---------------------------------------------------------------------------
 
-_UNSEEN = -1
+def _support_matching(matrix: NonNegMatrix):
+    """The support of A as a CSR bipartite graph (row -> column), the row of
+    each stored entry, and the row that one maximum matching gives each
+    column (-1 where the column is unmatched).
 
-
-def max_matching_size(adjacency: Sequence[Sequence[int]], n_right: int) -> int:
-    """Maximum bipartite matching size via Hopcroft-Karp (BFS layers + DFS)."""
-    n_left = len(adjacency)
-    match_left = [_UNSEEN] * n_left
-    match_right = [_UNSEEN] * n_right
-    dist: dict[int, float] = {}
-    inf = float("inf")
-
-    def bfs() -> bool:
-        dist.clear()
-        queue = []
-        for u in range(n_left):
-            if match_left[u] == _UNSEEN:
-                dist[u] = 0
-                queue.append(u)
-        found = False
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in adjacency[u]:
-                w = match_right[v]
-                if w == _UNSEEN:
-                    found = True
-                elif w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adjacency[u]:
-            w = match_right[v]
-            if w == _UNSEEN or (dist.get(w) == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        dist[u] = inf
-        return False
-
-    size = 0
-    while bfs():
-        for u in range(n_left):
-            if match_left[u] == _UNSEEN and dfs(u):
-                size += 1
-    return size
-
-
-def _support_adjacency(matrix: NonNegMatrix) -> list[list[int]]:
-    return [[j for j, x in enumerate(row) if x > 0] for row in matrix.entries]
+    The support is read from the exact entries, so a tiny rational that
+    would round to 0.0 as a float stays in it.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+    n = matrix.n
+    rows, cols = np.nonzero(np.array(matrix.support(), dtype=bool))
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    graph = csr_matrix((np.ones(len(cols), dtype=bool), cols, indptr), shape=(n, n))
+    return graph, rows, maximum_bipartite_matching(graph, perm_type="row")
 
 
 def has_matching_support(matrix: NonNegMatrix) -> bool:
     """True iff the support admits a perfect matching, i.e. per(A) > 0."""
-    return max_matching_size(_support_adjacency(matrix), matrix.n) == matrix.n
+    _, _, row_of = _support_matching(matrix)
+    return bool((row_of >= 0).all())
 
 
 def matchable_support(matrix: NonNegMatrix) -> list[list[bool]]:
     """Mask of entries that lie on at least one permutation within the support.
 
     Entries outside this mask are forced to zero on every doubly stochastic
-    matrix with the same support, so optimizers freeze them.
+    matrix with the same support, so optimizers freeze them.  Given one
+    perfect matching M, a support entry (i, j) lies on a perfect matching
+    exactly when it is in M or closes an M-alternating cycle, that is, when
+    row i and the row M(j) matched to column j share a strongly connected
+    component of the digraph with an arc i -> M(j) for every support entry
+    (i, j); these components are the Dulmage-Mendelsohn fine blocks.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
     n = matrix.n
-    adjacency = _support_adjacency(matrix)
-    if max_matching_size(adjacency, n) < n:
-        return [[False] * n for _ in range(n)]
-    mask = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in adjacency[i]:
-            reduced = [[v for v in adjacency[u] if v != j]
-                       for u in range(n) if u != i]
-            if max_matching_size(reduced, n) == n - 1:
-                mask[i][j] = True
-    return mask
+    graph, rows, row_of = _support_matching(matrix)
+    mask = np.zeros((n, n), dtype=bool)
+    if (row_of < 0).any():
+        return mask.tolist()
+    target = row_of[graph.indices]
+    alternating = csr_matrix((graph.data, target, graph.indptr), shape=(n, n))
+    _, label = connected_components(alternating, directed=True, connection="strong")
+    mask[rows, graph.indices] = label[rows] == label[target]
+    return mask.tolist()
 
 
 # ---------------------------------------------------------------------------

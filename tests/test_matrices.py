@@ -1,11 +1,18 @@
 """Domain types, constructions, Sinkhorn scaling, and file formats."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import betheperm
 from betheperm import (
     MatrixParseError,
     NonNegMatrix,
@@ -109,6 +116,34 @@ class TestConstructions:
         assert per_bruteforce(identity_tensor(2, a)) == per_bruteforce(a) ** 2
 
 
+def support_permutations(rows):
+    """Every permutation that stays inside the support of ``rows``."""
+    n = len(rows)
+    return [perm for perm in itertools.permutations(range(n))
+            if all(rows[i][perm[i]] for i in range(n))]
+
+
+def matchable_by_definition(rows):
+    n = len(rows)
+    mask = [[False] * n for _ in range(n)]
+    for perm in support_permutations(rows):
+        for i, j in enumerate(perm):
+            mask[i][j] = True
+    return mask
+
+
+@st.composite
+def supports(draw, max_n=7):
+    """A random 0/1 matrix with n <= max_n and a density drawn per matrix."""
+    n = draw(st.integers(1, max_n))
+    density = draw(st.sampled_from((0.2, 0.4, 0.6, 0.8)))
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
+    return [[int(cells[i * n + j] < density) for j in range(n)] for i in range(n)]
+
+
+SUPPORT_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+
 class TestMatchingSupport:
     def test_full_support(self):
         assert has_matching_support(ones(3))
@@ -120,6 +155,63 @@ class TestMatchingSupport:
         # entry (0, 1) of [[1,1],[0,1]] is on no support permutation
         mask = matchable_support(NonNegMatrix(((1, 1), (0, 1))))
         assert mask == [[True, False], [False, True]]
+
+    @SUPPORT_SETTINGS
+    @given(supports())
+    def test_mask_matches_definition(self, rows):
+        a = NonNegMatrix(rows)
+        assert matchable_support(a) == matchable_by_definition(rows)
+        assert has_matching_support(a) == bool(support_permutations(rows))
+
+    @SUPPORT_SETTINGS
+    @given(st.data())
+    def test_mask_invariant_under_permutation_and_transpose(self, data):
+        rows = data.draw(supports())
+        n = len(rows)
+        p = data.draw(st.permutations(range(n)))
+        q = data.draw(st.permutations(range(n)))
+        mask = matchable_support(NonNegMatrix(rows))
+        permuted = [[rows[p[i]][q[j]] for j in range(n)] for i in range(n)]
+        assert matchable_support(NonNegMatrix(permuted)) == [
+            [mask[p[i]][q[j]] for j in range(n)] for i in range(n)]
+        transposed = [list(col) for col in zip(*rows)]
+        assert matchable_support(NonNegMatrix(transposed)) == [
+            list(col) for col in zip(*mask)]
+
+    def test_one_by_one(self):
+        assert matchable_support(NonNegMatrix(((Fraction(1, 3),),))) == [[True]]
+        assert has_matching_support(NonNegMatrix(((2.5,),)))
+        assert matchable_support(NonNegMatrix(((0,),))) == [[False]]
+        assert not has_matching_support(NonNegMatrix(((0,),)))
+
+    def test_all_zero(self):
+        zero = NonNegMatrix(((0,) * 4,) * 4)
+        assert not has_matching_support(zero)
+        assert matchable_support(zero) == [[False] * 4 for _ in range(4)]
+
+    def test_tiny_rational_stays_in_support(self):
+        tiny = Fraction(1, 10 ** 400)
+        assert float(tiny) == 0.0
+        a = NonNegMatrix(((tiny, 1, 0), (1, 0, 1), (0, 1, 1)))
+        assert matchable_support(a) == [[True, True, False],
+                                        [True, False, True],
+                                        [False, True, True]]
+        # rounded to floats, the entry drops out and so does a permutation
+        rounded = NonNegMatrix(a.numpy().tolist())
+        assert matchable_support(rounded) == [[False, True, False],
+                                              [True, False, False],
+                                              [False, False, True]]
+        assert has_matching_support(NonNegMatrix(((tiny, 0), (0, 1))))
+        assert not has_matching_support(NonNegMatrix(((float(tiny), 0), (0, 1))))
+
+    def test_import_loads_no_scipy(self):
+        # the support layer imports scipy on call; the package import must not
+        src = str(Path(betheperm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-c", "import betheperm, sys; "
+             "assert not [m for m in sys.modules if m.startswith('scipy')]"],
+            env=env, check=True, timeout=60)
 
 
 class TestSinkhorn:

@@ -28,6 +28,8 @@ from .matrices import (
     is_exact_scalar,
     log_scalar,
     matchable_support,
+    prescale,
+    sinkhorn_sweep,
     validate_doubly_stochastic,
 )
 from .permanents import log_permanent, marginals
@@ -106,22 +108,20 @@ def objective_gradient(matrix: NonNegMatrix, weights: DoublyStochMatrix,
         return np.log(a) - np.log(p) - 1.0 + gamma * (np.log1p(-p) + 1.0)
 
 
-def _objective_np(a: np.ndarray, p: np.ndarray, gamma: float) -> float:
+def _objective_np(log_a: np.ndarray, p: np.ndarray, gamma: float) -> float:
     t1 = np.zeros_like(p)
     mass = p > 0.0
-    with np.errstate(divide="ignore"):
-        t1[mass] = p[mass] * (np.log(a[mass]) - np.log(p[mass]))
+    t1[mass] = p[mass] * (log_a[mass] - np.log(p[mass]))
     t2 = np.zeros_like(p)
     slack = p < 1.0
     t2[slack] = (1.0 - p[slack]) * np.log1p(-p[slack])
     return float(t1.sum() - gamma * t2.sum())
 
 
-def _gradient_np(a: np.ndarray, p: np.ndarray, gamma: float,
+def _gradient_np(log_a: np.ndarray, p: np.ndarray, gamma: float,
                  face: np.ndarray) -> np.ndarray:
     pc = np.clip(p, INTERIOR_EPS, 1.0 - INTERIOR_EPS)
-    safe_a = np.where(face, a, 1.0)
-    g = np.log(safe_a) - np.log(pc) - 1.0 + gamma * (np.log1p(-pc) + 1.0)
+    g = log_a - np.log(pc) - 1.0 + gamma * (np.log1p(-pc) + 1.0)
     return np.where(face, g, 0.0)
 
 
@@ -157,14 +157,8 @@ def _project_birkhoff(p: np.ndarray, tol: float = 1e-12,
     """
     q = p.copy()
     for _ in range(max_sweeps):
-        row = q.sum(axis=1, keepdims=True)
-        if not np.all(row > 0.0):
+        if sinkhorn_sweep(q) is None:
             return None
-        q /= row
-        col = q.sum(axis=0, keepdims=True)
-        if not np.all(col > 0.0):
-            return None
-        q /= col
         dev = np.abs(q.sum(axis=1) - 1.0).max()
         if dev <= tol:
             return q
@@ -250,19 +244,31 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
         raise ValueError("tolerance must be positive")
     n = matrix.n
 
-    if not has_matching_support(matrix):
+    face = np.array(matchable_support(matrix), dtype=bool)
+    if not face.any(axis=1).all():  # the mask is empty: no perfect matching
         history = (float("-inf"),) if record_history else None
         return BetheResult(None, float("-inf"), 0, True, 0.0, gamma, history)
 
-    face = np.array(matchable_support(matrix), dtype=bool)
-    a = matrix.numpy()
+    if matrix.is_exact:
+        # Exact entries may lie outside the float range, so the ascent runs
+        # on Q = diag(r) A diag(c) from log-domain sweeps.  On doubly
+        # stochastic P the objective of Q is that of A plus
+        # shift = sum log r + sum log c.
+        log_a = np.array([[log_scalar(x) for x in row] for row in matrix.entries])
+        log_q, shift = prescale(np.where(face, log_a, -np.inf))
+        a = np.exp(log_q)  # the starting point only
+    else:
+        a = matrix.numpy()
+        with np.errstate(divide="ignore"):
+            log_a = np.log(a)
+        log_q, shift = log_a, 0.0
 
     if bool((face.sum(axis=1) == 1).all()):
         # the face is a single permutation matrix; nothing to optimize
         cols = face.argmax(axis=1)
         p = np.zeros((n, n))
         p[np.arange(n), cols] = 1.0
-        value = float(np.log(a[np.arange(n), cols]).sum())
+        value = float(log_a[np.arange(n), cols].sum())
         history = (value,) if record_history else None
         return BetheResult(validate_doubly_stochastic(p), value, 0, True, 0.0,
                            gamma, history)
@@ -271,7 +277,7 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
     if p is None:  # cannot happen on a matchable face; defensive
         raise RuntimeError("initial Sinkhorn projection lost a row or column")
 
-    value = _objective_np(a, p, gamma)
+    value = _objective_np(log_q, p, gamma)
     history = [value] if record_history else None
     eta = 1.0
     residual = float("inf")
@@ -279,7 +285,7 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        g = _gradient_np(a, p, gamma, face)
+        g = _gradient_np(log_q, p, gamma, face)
         residual = _fw_gap(g, p, face)
         if residual <= tol:
             converged = True
@@ -294,7 +300,7 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
             trial = np.where(face, np.maximum(p, 1e-280) * np.exp(step_eta * centered), 0.0)
             trial = _project_birkhoff(trial)
             if trial is not None:
-                trial_value = _objective_np(a, trial, gamma)
+                trial_value = _objective_np(log_q, trial, gamma)
                 if trial_value >= value - 1e-13 * scale:
                     if trial_value > value + 1e-12 * scale:
                         # grow the step only on genuine progress; near the
@@ -312,10 +318,14 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
         if not accepted:
             break  # step size exhausted; report the best iterate honestly
 
-    final_value = _objective_np(a, p, gamma)
+    # recomputed on A itself: P is doubly stochastic only to about 1e-12,
+    # and that much times a large shift would move the value
+    final_value = _objective_np(log_a, p, gamma)
     result_p = validate_doubly_stochastic(p)
+    if history is not None:
+        history = tuple(h - shift for h in history)
     return BetheResult(result_p, final_value, iterations, converged, residual,
-                       gamma, tuple(history) if history is not None else None)
+                       gamma, history)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,58 @@ def matchable_support(matrix: NonNegMatrix) -> list[list[bool]]:
 # Sinkhorn scaling
 # ---------------------------------------------------------------------------
 
+#: ``prescale`` stops once the rows it normalizes already summed to within
+#: a factor e^0.1 of 1, or after 1000 sweeps.
+_PRESCALE_TOL = 0.1
+_PRESCALE_MAX_SWEEPS = 1000
+
+
+def sinkhorn_sweep(q: np.ndarray, log: bool = False
+                   ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Normalize the rows of ``q`` and then its columns, in place.
+
+    With ``log`` true, ``q`` holds natural logs (-inf for a zero entry) and
+    each sum is a log-sum-exp, which holds any scale of entries.  Returns
+    the row and column sums divided out (their logs, subtracted, when
+    ``log``), as keepdims arrays, or None when a row or column sums to zero.
+    """
+    sums = []
+    for axis in (1, 0):
+        if log:
+            peak = q.max(axis=axis, keepdims=True)
+            if not np.all(peak > -np.inf):
+                return None
+            total = peak + np.log(np.exp(q - peak).sum(axis=axis, keepdims=True))
+            q -= total
+        else:
+            total = q.sum(axis=axis, keepdims=True)
+            if not np.all(total > 0.0):
+                return None
+            q /= total
+        sums.append(total)
+    return sums[0], sums[1]
+
+
+def prescale(log_a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Log-domain Sinkhorn sweeps on log A, until its row and column sums
+    are near 1.
+
+    Returns log Q and shift = sum log r + sum log c, for Q = diag(r) A
+    diag(c).  The scaling is exact for any r and c, so the sweeps need not
+    converge: per Q = exp(shift) per A, and Q has the marginal matrix of A.
+    A must be zero outside its matchable support (``matchable_support``),
+    which must be nonempty; the sweeps then converge.
+    """
+    log_q = log_a.copy()
+    shift = 0.0
+    for _ in range(_PRESCALE_MAX_SWEEPS):
+        row, col = sinkhorn_sweep(log_q, log=True)
+        shift -= float(row.sum() + col.sum())
+        if np.abs(row).max() <= _PRESCALE_TOL:
+            break
+    return log_q, shift
+
+
 def sinkhorn_scale(matrix: NonNegMatrix, tol: float = DEFAULT_DS_TOL,
                    max_iter: int = 100_000,
                    ) -> tuple[DoublyStochMatrix, tuple[float, ...], tuple[float, ...]]:
@@ -314,18 +366,17 @@ def sinkhorn_scale(matrix: NonNegMatrix, tol: float = DEFAULT_DS_TOL,
             "no doubly stochastic scaling exists")
     a = matrix.numpy()
     n = matrix.n
+    p = a.copy()
     r = np.ones(n)
     c = np.ones(n)
 
     best_dev = float("inf")
     best = (r.copy(), c.copy())
     for _ in range(max_iter):
-        row_sums = (a * c) @ np.ones(n)
-        r = 1.0 / row_sums
-        col_sums = r @ a
-        c = 1.0 / col_sums
+        row, col = sinkhorn_sweep(p)
+        r /= row[:, 0]
+        c /= col[0]
         # after the column step rows may drift; measure both
-        p = (a * c) * r[:, None]
         dev = max(np.abs(p.sum(axis=1) - 1.0).max(),
                   np.abs(p.sum(axis=0) - 1.0).max())
         if dev < best_dev:

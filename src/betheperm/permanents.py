@@ -1,8 +1,18 @@
-"""Exact permanents, the weighted distribution over permutations, and its marginals.
+"""Permanents, the weighted distribution over permutations, and its marginals.
 
-Two independent permanent algorithms are kept side by side: full permutation
-enumeration (the definition, n <= 10) and Ryser's inclusion-exclusion with
-Gray-code subset iteration (n <= 30).  Both are exact on rational input.
+On exact (integer or rational) input two independent permanent algorithms
+are kept side by side: full permutation enumeration (the definition,
+n <= 10) and Ryser's inclusion-exclusion with Gray-code subset iteration
+(n <= 30); one more Gray-code pass gives every minor.  All are exact.
+
+Float input goes through one numpy pass of Glynn's formula, in blocks of at
+most 2^10 sign vectors, on Q = diag(r) A diag(c) from log-domain Sinkhorn
+sweeps.  The pass gives log per(A) and the marginal matrix together.  Q's
+row and column sums are near 1, so nothing overflows or underflows whatever
+the scale of A.  Measured against exact integer evaluation of dyadic input
+with n = 6..16, log per(A) is within 1.1e-14 (1.2e-13, one unit in the last
+place, on copies scaled by 2^+-100) and marginal rows and columns sum to 1
+within 2e-14; the tests hold n <= 12 to 1e-12.
 """
 
 from __future__ import annotations
@@ -13,17 +23,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .matrices import (
     DEFAULT_DS_TOL,
     DoublyStochMatrix,
     NonNegMatrix,
     Scalar,
     ZeroPermanentError,
+    log_scalar,
+    matchable_support,
+    prescale,
     validate_doubly_stochastic,
 )
 
 BRUTEFORCE_LIMIT = 10
 RYSER_LIMIT = 30
+
+#: The float pass walks Glynn's sign vectors in blocks of 2^10 rows.  At
+#: n = 16 that was the fastest of 2^6..2^12 (8.9 ms against 12.0 at 2^8 and
+#: 10.9 at 2^12), and it keeps the block tables near 1 MB.
+_GLYNN_BLOCK_BITS = 10
 
 Permutation = tuple[int, ...]
 
@@ -87,18 +107,23 @@ def per_bruteforce(matrix: NonNegMatrix) -> Scalar:
     return total
 
 
-def per_ryser(matrix: NonNegMatrix) -> Scalar:
-    """Permanent by Ryser's formula, Gray-code order, O(2^n * n).
-
-    Exact on rational input.  Float input uses Neumaier compensated summation:
-    the inclusion-exclusion terms alternate in sign and cancel heavily.
-    """
-    n = matrix.n
+def _check_ryser_limit(n: int) -> None:
     if n > RYSER_LIMIT:
         raise ValueError(f"n={n} exceeds the Ryser limit {RYSER_LIMIT}")
-    if matrix.is_exact:
-        return _ryser_exact(matrix.entries, n)
-    return _ryser_float([[float(x) for x in row] for row in matrix.entries], n)
+
+
+def per_ryser(matrix: NonNegMatrix) -> Scalar:
+    """Permanent by Ryser's formula, Gray-code order, O(2^n * n), exact on
+    rational input.
+
+    Float input returns exp(log per A) from the blocked Glynn pass (see the
+    module docstring): 0.0 for a zero permanent, inf only past the float range.
+    """
+    if not matrix.is_exact:
+        with np.errstate(over="ignore"):
+            return float(np.exp(_float_pass(matrix)[0]))
+    _check_ryser_limit(matrix.n)
+    return _ryser_exact(matrix.entries, matrix.n)
 
 
 def _ryser_exact(rows, n: int) -> Scalar:
@@ -126,47 +151,71 @@ def _ryser_exact(rows, n: int) -> Scalar:
     return total
 
 
-def _ryser_float(rows, n: int) -> float:
-    sums = [0.0] * n
-    acc = 0.0
-    comp = 0.0  # Neumaier correction term
-    size = 0
-    gray = 0
-    for k in range(1, 1 << n):
-        bit = (k & -k).bit_length() - 1
-        gray ^= 1 << bit
-        if gray & (1 << bit):
-            size += 1
-            for i in range(n):
-                sums[i] += rows[i][bit]
-        else:
-            size -= 1
-            for i in range(n):
-                sums[i] -= rows[i][bit]
-        product = 1.0
-        for i in range(n):
-            product *= sums[i]
-        term = product if (n - size) % 2 == 0 else -product
-        t = acc + term
-        if abs(acc) >= abs(term):
-            comp += (acc - t) + term
-        else:
-            comp += (term - t) + acc
-        acc = t
-    return acc + comp
+def _glynn(q: np.ndarray) -> tuple[float, np.ndarray]:
+    """per(q) and the matrix of its minors, by Glynn's formula
+
+        per(q) = 2^(1-n) * sum over d in {-1, 1}^n with d_0 = 1 of
+                 (prod_j d_j) * prod_i (sum_j q_ij d_j).
+
+    The formula is multilinear in q, so minor ij, its derivative in q_ij, is
+    the same sum with row i's factor replaced by d_j.  Sign vectors go in
+    blocks: the low bits form a fixed table of 2^k rows, and a Python loop
+    runs over the high bits.
+    """
+    n = q.shape[0]
+    if n == 1:
+        return float(q[0, 0]), np.ones((1, 1))
+    k = min(n - 1, _GLYNN_BLOCK_BITS)
+    high = n - 1 - k
+    d = np.ones((1 << k, n))
+    d[:, 1:k + 1] = 1 - 2 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1)
+    low_sign = d[:, 1:k + 1].prod(axis=1)
+    total = 0.0
+    minors = np.zeros((n, n))
+    for code in range(1 << high):
+        signs = 1 - 2 * ((code >> np.arange(high)) & 1)
+        d[:, k + 1:] = signs
+        s = d @ q.T  # s[b, i] = sum_j q_ij d_bj
+        # e[b, i]: signed product of s[b] over every row but i
+        e = np.ones_like(s)
+        np.cumprod(s[:, :-1], axis=1, out=e[:, 1:])
+        e[:, :-1] *= np.cumprod(s[:, :0:-1], axis=1)[:, ::-1]
+        e *= (low_sign * signs.prod())[:, None]
+        total += e[:, 0] @ s[:, 0]
+        minors += e.T @ d
+    scale = 0.5 ** (n - 1)
+    return float(total) * scale, minors * scale
+
+
+def _float_pass(matrix: NonNegMatrix) -> tuple[float, np.ndarray | None]:
+    """log per(A) and the marginal matrix of float input.
+
+    Entries on no perfect matching are on no permutation of nonzero weight,
+    so they are set to 0 first.  One Glynn pass on Q = diag(r) A diag(c)
+    from ``prescale`` then gives both: log per A = log per Q - shift, and A
+    shares Q's marginal matrix Q_ij minor_ij(Q) / per Q.
+    A zero permanent is decided from the support and gives (-inf, None).
+    """
+    _check_ryser_limit(matrix.n)
+    mask = np.array(matchable_support(matrix), dtype=bool)
+    if not mask.any(axis=1).all():  # the mask is empty: no perfect matching
+        return float("-inf"), None
+    with np.errstate(divide="ignore"):
+        log_q, shift = prescale(np.where(mask, np.log(matrix.numpy()), -np.inf))
+    q = np.exp(log_q)
+    per_q, minors_q = _glynn(q)
+    return math.log(per_q) - shift, q * minors_q / per_q
 
 
 def log_permanent(matrix: NonNegMatrix) -> float:
-    """log per(A) via Ryser; -inf when the permanent is zero."""
-    value = per_ryser(matrix)
-    if isinstance(value, Fraction):
-        if value == 0:
-            return float("-inf")
-        return math.log(value.numerator) - math.log(value.denominator)
-    if value <= 0:
-        # roundoff can leave a tiny negative for a structurally zero permanent
-        return float("-inf")
-    return math.log(value)
+    """log per(A); -inf when the permanent is zero.
+
+    Exact input runs Ryser on integers or rationals; float input runs the
+    blocked Glynn pass, accurate to about 1e-13 (see the module docstring).
+    """
+    if matrix.is_exact:
+        return log_scalar(per_ryser(matrix))
+    return _float_pass(matrix)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +252,24 @@ def mu_prob(matrix: NonNegMatrix, sigma: Permutation) -> Scalar:
 
 
 def permanent_minors(matrix: NonNegMatrix) -> list[list[Scalar]]:
-    """per of the (i, j) minor for every entry, in one Ryser-style pass.
+    """per of the (i, j) minor for every entry, in one pass.
 
     The permanent is multilinear in the entries, so the (i, j) minor permanent
-    is the partial derivative with respect to entry (i, j).  Differentiating
-    Ryser's formula term by term costs O(2^n * n^2) for all n^2 minors at once
-    instead of n^2 separate Ryser runs.
+    is the partial derivative with respect to entry (i, j).  On exact input,
+    differentiating Ryser's formula term by term costs O(2^n * n^2) for all
+    n^2 minors at once instead of n^2 separate Ryser runs.  Float input takes
+    them from Glynn's formula on A as given: unlike the permanent, the minors
+    depend on entries that lie on no perfect matching, so A is not prescaled.
     """
     n = matrix.n
-    if n > RYSER_LIMIT:
-        raise ValueError(f"n={n} exceeds the Ryser limit {RYSER_LIMIT}")
+    _check_ryser_limit(n)
+    if not matrix.is_exact:
+        return _glynn(matrix.numpy())[1].tolist()
     if n == 1:
         return [[1]]
-    exact = matrix.is_exact
-    rows = matrix.entries if exact else [[float(x) for x in row] for row in matrix.entries]
-    zero: Scalar = 0 if exact else 0.0
-    one: Scalar = 1 if exact else 1.0
-    sums = [zero] * n
-    minors = [[zero] * n for _ in range(n)]
+    rows = matrix.entries
+    sums = [0] * n
+    minors = [[0] * n for _ in range(n)]
     members: list[int] = []
     size = 0
     gray = 0
@@ -239,10 +288,10 @@ def permanent_minors(matrix: NonNegMatrix) -> list[list[Scalar]]:
             for i in range(n):
                 sums[i] = sums[i] - rows[i][bit]
         # products of all row sums except row i, via prefix/suffix sweeps
-        prefix = [one] * (n + 1)
+        prefix = [1] * (n + 1)
         for i in range(n):
             prefix[i + 1] = prefix[i] * sums[i]
-        suffix = one
+        suffix = 1
         sign = sign_base if (size - 1) % 2 == 0 else -sign_base
         for i in range(n - 1, -1, -1):
             exclude_i = prefix[i] * suffix
@@ -259,15 +308,22 @@ def permanent_minors(matrix: NonNegMatrix) -> list[list[Scalar]]:
 
 def marginals(matrix: NonNegMatrix, tol: float = DEFAULT_DS_TOL) -> DoublyStochMatrix:
     """Marginal matrix P[i][j] = Pr[(i, j) is selected] under the weight
-    distribution, computed as A[i][j] * per(minor ij) / per(A).
+    distribution, A[i][j] * per(minor ij) / per(A).
 
-    Exact on rational input; the result is validated doubly stochastic.
+    Exact on rational input.  Float input takes it from the Glynn pass,
+    with rows and columns summing to 1 within about 1e-14 and an exact 0 on
+    every entry that lies on no perfect matching.  The result is validated
+    doubly stochastic.
     """
+    if not matrix.is_exact:
+        weights = _float_pass(matrix)[1]
+        if weights is None:
+            raise ZeroPermanentError("permanent is zero: marginals are undefined")
+        return validate_doubly_stochastic(weights, tol=tol)
     total = per_ryser(matrix)
     if total == 0:
         raise ZeroPermanentError("permanent is zero: marginals are undefined")
-    if matrix.is_exact:
-        total = Fraction(total)  # keep int/int divisions exact
+    total = Fraction(total)  # keep int/int divisions exact
     minors = permanent_minors(matrix)
     n = matrix.n
     rows = []

@@ -1,6 +1,7 @@
 """Objectives, gradients, the Birkhoff-polytope ascent, and bound reports."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from betheperm import (
     ones,
     optimize,
     pair_block_matrix,
+    per_ryser,
     validate_doubly_stochastic,
 )
 from tests.test_matrices import identity_matrix
@@ -193,6 +195,31 @@ class TestOptimize:
         h = result.objective_history
         assert all(h[k + 1] >= h[k] - 1e-9 for k in range(len(h) - 1))
 
+    def test_exact_entry_below_float_range_on_a_single_permutation(self):
+        tiny = Fraction(1, 10 ** 400)
+        a = NonNegMatrix(((tiny, 0), (0, 1)))
+        result = optimize(a, -1.0)
+        assert result.converged
+        assert result.log_value == pytest.approx(log_permanent(a), abs=1e-9)
+        assert result.log_value == pytest.approx(-921.034037, abs=1e-6)
+
+    def test_exact_entry_below_float_range_on_a_full_face(self):
+        tiny = Fraction(1, 10 ** 400)
+        a = NonNegMatrix(((tiny, 1), (1, 1)))
+        for gamma in (-1.0, -0.5):
+            result = optimize(a, gamma)
+            assert result.converged
+            assert math.isfinite(result.log_value)
+            # per(A) = 1 + 1e-400, so every value here is about 0
+            assert abs(result.log_value) <= 1e-9
+
+    def test_exact_entry_above_float_range(self):
+        a = NonNegMatrix(((Fraction(10 ** 400), 1), (1, 1)))
+        result = optimize(a, -1.0, record_history=True)
+        assert result.converged
+        assert result.log_value == pytest.approx(log_permanent(a), abs=1e-9)
+        assert result.objective_history[-1] == pytest.approx(result.log_value, abs=1e-9)
+
     def test_nonconvergence_is_flagged_not_wrong(self):
         rng = np.random.default_rng(13)
         a = random_positive_matrix(rng, 5)
@@ -334,3 +361,55 @@ class TestBoundReport:
         assert set(payload["checks"]) == {
             "bethe_le_per", "per_le_sqrt2n_beta_marginals", "per_le_sqrt2n_bethe",
             "per_le_bp_half", "bp_half_le_sqrte_n_bethe"}
+
+
+# ---------------------------------------------------------------------------
+# Inputs that the float permanent path once got wrong
+# ---------------------------------------------------------------------------
+
+def _stored_input(family, n, seed_name):
+    """Integer rows and the power of two that divides them, drawn from a
+    named random stream: 'uniform' has entries 1..63 over 2^6,
+    'near_boundary' the eighth powers of those over 2^48, and 'sparse_diag'
+    a diagonal plus 3 random entries per row over 2^6."""
+    rnd = random.Random(seed_name)
+
+    def level():
+        return 1 + int(rnd.random() * 63)
+
+    def perm():
+        p = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = int(rnd.random() * (i + 1))
+            p[i], p[j] = p[j], p[i]
+        return p
+
+    if family == "uniform":
+        return [[level() for _ in range(n)] for _ in range(n)], 6
+    if family == "near_boundary":
+        return [[level() ** 8 for _ in range(n)] for _ in range(n)], 48
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = level()
+        for j in perm()[:3]:
+            rows[i][j] = level()
+    return rows, 6
+
+
+@pytest.mark.parametrize("family, n, seed_name, shift", [
+    # every entry scaled by 2^100 and 2^-100: once NaN and a false zero
+    ("uniform", 12, "pool/uniform/12/0", 100),
+    ("uniform", 12, "pool/uniform/12/0", -100),
+    # entries on no perfect matching: once a marginal of -4e-15
+    ("sparse_diag", 10, "pool/sparse_diag/10/0", 0),
+    # entries down to 2^-48: once a marginal row sum of 1 + 1e-8
+    ("near_boundary", 10, "pool/near_boundary/10/5", 0),
+])
+def test_bound_report_on_float_edge_inputs(family, n, seed_name, shift):
+    rows, scale = _stored_input(family, n, seed_name)
+    matrix = NonNegMatrix(tuple(tuple(math.ldexp(x, shift - scale) for x in row)
+                                for row in rows))
+    exact = math.log(per_ryser(NonNegMatrix(rows))) + n * (shift - scale) * LOG2
+    report = bound_report(matrix)
+    assert report.all_passed, report.checks
+    assert abs(report.log_per - exact) <= 1e-9

@@ -6,14 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betheperm import (
     GibbsWeights,
     NonNegMatrix,
     ZeroPermanentError,
+    block_diag,
     compose,
     identity_permutation,
     identity_tensor,
+    log_permanent,
     marginals,
     mu_prob,
     ones,
@@ -183,3 +186,161 @@ class TestWeightDistribution:
     def test_zero_permanent_is_an_error(self):
         with pytest.raises(ZeroPermanentError):
             mu_prob(NonNegMatrix(((0, 1), (0, 1))), (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# The float pass against exact integer evaluation of the same dyadic input
+# ---------------------------------------------------------------------------
+
+LOG2 = math.log(2.0)
+DYADIC_BITS = 6  # float entries are integers 0..63 over 2^6
+FLOAT_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@st.composite
+def dyadic_rows(draw, max_n=12):
+    """Integer rows with n <= max_n, entries 0..63, about a quarter zero."""
+    n = draw(st.integers(1, max_n))
+    cells = draw(st.lists(st.integers(0, 63), min_size=n * n, max_size=n * n))
+    return [[x if x >= 16 else 0 for x in cells[i * n:(i + 1) * n]] for i in range(n)]
+
+
+def as_float(rows, row_exponents=None, column_exponents=None):
+    """rows / 2^6 as floats, entry (i, j) further scaled by
+    2^(row_exponents[i] + column_exponents[j])."""
+    n = len(rows)
+    rk = row_exponents or [0] * n
+    ck = column_exponents or [0] * n
+    return NonNegMatrix(tuple(
+        tuple(math.ldexp(rows[i][j], rk[i] + ck[j] - DYADIC_BITS) for j in range(n))
+        for i in range(n)))
+
+
+def exact_log_per(rows) -> float:
+    """log per(rows / 2^6), from the integer permanent."""
+    per = per_ryser(NonNegMatrix(rows))
+    if per == 0:
+        return float("-inf")
+    return math.log(per) - len(rows) * DYADIC_BITS * LOG2
+
+
+def assert_log_close(value, expected, tol=1e-12):
+    if expected == float("-inf"):
+        assert value == expected
+    else:
+        assert abs(value - expected) <= tol, (value, expected)
+
+
+class TestFloatPass:
+    @FLOAT_SETTINGS
+    @given(dyadic_rows())
+    def test_log_permanent_matches_exact(self, rows):
+        assert_log_close(log_permanent(as_float(rows)), exact_log_per(rows))
+
+    @FLOAT_SETTINGS
+    @given(dyadic_rows(max_n=10))
+    def test_marginals_match_exact(self, rows):
+        if per_ryser(NonNegMatrix(rows)) == 0:
+            with pytest.raises(ZeroPermanentError):
+                marginals(as_float(rows))
+            return
+        exact = marginals(NonNegMatrix(tuple(
+            tuple(Fraction(x, 2 ** DYADIC_BITS) for x in row) for row in rows)))
+        approx = marginals(as_float(rows))
+        for exact_row, approx_row in zip(exact.entries, approx.entries):
+            for e, a in zip(exact_row, approx_row):
+                assert abs(a - e) <= 1e-12
+                if e == 0:
+                    assert a == 0.0  # an entry on no perfect matching
+
+    @FLOAT_SETTINGS
+    @given(st.data())
+    def test_invariant_under_permutation_and_transpose(self, data):
+        rows = data.draw(dyadic_rows())
+        n = len(rows)
+        p = data.draw(st.permutations(range(n)))
+        q = data.draw(st.permutations(range(n)))
+        permuted = [[rows[p[i]][q[j]] for j in range(n)] for i in range(n)]
+        transposed = [list(col) for col in zip(*rows)]
+        base = log_permanent(as_float(rows))
+        assert_log_close(log_permanent(as_float(permuted)), base)
+        assert_log_close(log_permanent(as_float(transposed)), base)
+        if base == float("-inf"):
+            return
+        weights = marginals(as_float(rows)).numpy()
+        assert np.abs(marginals(as_float(permuted)).numpy()
+                      - weights[np.ix_(p, q)]).max() <= 1e-12
+        assert np.abs(marginals(as_float(transposed)).numpy() - weights.T).max() <= 1e-12
+
+    def check_scaling(self, rows, rk, ck):
+        scaled = as_float(rows, rk, ck)
+        expected = exact_log_per(rows) + (sum(rk) + sum(ck)) * LOG2
+        # the log of each scaled entry carries a rounding error relative to
+        # its size, up to about 140 here
+        assert_log_close(log_permanent(scaled), expected,
+                         tol=max(1e-12, 2e-15 * abs(expected)))
+        if expected == float("-inf"):
+            assert per_ryser(scaled) == 0.0
+            return
+        assert np.abs(marginals(scaled).numpy()
+                      - marginals(as_float(rows)).numpy()).max() <= 1e-12
+
+    @FLOAT_SETTINGS
+    @given(st.data())
+    def test_covariant_under_power_of_two_scaling(self, data):
+        rows = data.draw(dyadic_rows())
+        exponents = st.lists(st.integers(-100, 100), min_size=len(rows),
+                             max_size=len(rows))
+        self.check_scaling(rows, data.draw(exponents), data.draw(exponents))
+
+    def test_scaling_that_needs_many_sweeps(self):
+        # after four Sinkhorn sweeps this input still has a block of entries
+        # near 1e-22 against a row and a column of ones, and Glynn's sum on
+        # it cancels to 0; the prescale must sweep on until it is balanced
+        rows = [[31, 31, 27, 40, 55], [25, 35, 0, 0, 52], [0, 0, 0, 23, 42],
+                [23, 0, 39, 20, 51], [43, 36, 0, 34, 16]]
+        self.check_scaling(rows, [-6, 86, 71, 6, 20], [-1, -33, 11, -81, 1])
+
+    @FLOAT_SETTINGS
+    @given(dyadic_rows(max_n=6), dyadic_rows(max_n=6))
+    def test_block_multiplicativity(self, top, bottom):
+        joint = log_permanent(block_diag(as_float(top), as_float(bottom)))
+        assert_log_close(joint, log_permanent(as_float(top))
+                         + log_permanent(as_float(bottom)))
+        assert_log_close(joint, exact_log_per(top) + exact_log_per(bottom))
+
+    def test_zero_permanent_decided_from_support(self):
+        # no empty row, yet every permutation meets a zero
+        a = NonNegMatrix(((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+        assert log_permanent(a) == float("-inf")
+        assert per_ryser(a) == 0.0
+        with pytest.raises(ZeroPermanentError):
+            marginals(a)
+        assert permanent_minors(a) == [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0],
+                                       [0.0, 0.0, 0.0]]
+
+    def test_float_range_edges(self):
+        big = NonNegMatrix(((1e300, 1e300), (1e300, 1e300)))
+        assert per_ryser(big) == float("inf")
+        assert log_permanent(big) == pytest.approx(math.log(2) + 600 * math.log(10),
+                                                   rel=1e-15)
+        tiny = NonNegMatrix(((1e-300, 0.0), (0.0, 1e-300)))
+        assert log_permanent(tiny) == pytest.approx(-600 * math.log(10), rel=1e-15)
+        assert marginals(tiny).entries == ((1.0, 0.0), (0.0, 1.0))
+
+    def test_float_minors_match_exact(self):
+        # A is not prescaled for its minors, which entries on no perfect
+        # matching still enter: here minor (1, 0) is entry (0, 1)
+        assert permanent_minors(NonNegMatrix(((1.0, 2.0), (0.0, 3.0)))) == [
+            [3.0, 0.0], [2.0, 1.0]]
+        rng = np.random.default_rng(53)
+        rows = [[int(x) for x in row] for row in rng.integers(0, 64, (7, 7))]
+        exact = permanent_minors(NonNegMatrix(rows))
+        approx = permanent_minors(as_float(rows))
+        for exact_row, approx_row in zip(exact, approx):
+            for e, a in zip(exact_row, approx_row):
+                assert a == pytest.approx(e / 2 ** (DYADIC_BITS * 6), rel=1e-12)
+
+    def test_float_dimension_guard(self):
+        with pytest.raises(ValueError, match="Ryser limit"):
+            log_permanent(NonNegMatrix(((1.0,) * 31,) * 31))

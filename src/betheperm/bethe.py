@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from .matrices import (
     DoublyStochMatrix,
     NonNegMatrix,
     ZeroPermanentError,
-    has_matching_support,
-    is_exact_scalar,
     log_scalar,
     matchable_support,
     prescale,
@@ -58,33 +55,29 @@ def _check_gamma(gamma: float) -> float:
 # Objectives (log domain)
 # ---------------------------------------------------------------------------
 
+def _log_entries(matrix: NonNegMatrix) -> np.ndarray:
+    """log A entrywise, -inf at zero entries.  Exact entries outside the
+    float range, such as 10**400, still get their finite logs."""
+    return np.array([[log_scalar(x) for x in row] for row in matrix.entries])
+
+
 def bp_objective(matrix: NonNegMatrix, weights: DoublyStochMatrix,
                  gamma: float) -> float:
     """Fractional objective at parameter gamma; -inf iff P puts mass where A is zero.
 
     Conventions: a zero P entry contributes nothing, and (1 - P) log(1 - P)
-    vanishes at P = 1.  Rational inputs go through exact ratios before the log.
+    vanishes at P = 1.  Whether P puts mass on an entry is read from the
+    entries of P themselves, so an exact entry below the float range still
+    counts.
     """
     gamma = _check_gamma(gamma)
     if matrix.n != weights.n:
         raise ValueError(f"dimension mismatch: {matrix.n} vs {weights.n}")
-    acc = 0.0
-    for arow, prow in zip(matrix.entries, weights.entries):
-        for a, p in zip(arow, prow):
-            if p > 0:
-                if a == 0:
-                    return float("-inf")
-                if is_exact_scalar(a) and is_exact_scalar(p):
-                    acc += float(p) * log_scalar(Fraction(a) / Fraction(p))
-                else:
-                    acc += float(p) * (math.log(float(a)) - math.log(float(p)))
-            if p < 1:
-                if is_exact_scalar(p):
-                    rest = 1 - Fraction(p)
-                    acc -= gamma * float(rest) * log_scalar(rest)
-                else:
-                    acc -= gamma * (1.0 - float(p)) * math.log1p(-float(p))
-    return acc
+    log_a = _log_entries(matrix)
+    mass = np.array([[p > 0 for p in row] for row in weights.entries])
+    if np.isneginf(log_a[mass]).any():
+        return float("-inf")
+    return _objective_np(log_a, weights.numpy(), gamma)
 
 
 def beta_objective(matrix: NonNegMatrix, weights: DoublyStochMatrix) -> float:
@@ -102,10 +95,8 @@ def objective_gradient(matrix: NonNegMatrix, weights: DoublyStochMatrix,
     gamma = _check_gamma(gamma)
     if matrix.n != weights.n:
         raise ValueError(f"dimension mismatch: {matrix.n} vs {weights.n}")
-    a = matrix.numpy()
-    p = weights.numpy()
     with np.errstate(divide="ignore"):
-        return np.log(a) - np.log(p) - 1.0 + gamma * (np.log1p(-p) + 1.0)
+        return _gradient_np(_log_entries(matrix), weights.numpy(), gamma)
 
 
 def _objective_np(log_a: np.ndarray, p: np.ndarray, gamma: float) -> float:
@@ -118,11 +109,8 @@ def _objective_np(log_a: np.ndarray, p: np.ndarray, gamma: float) -> float:
     return float(t1.sum() - gamma * t2.sum())
 
 
-def _gradient_np(log_a: np.ndarray, p: np.ndarray, gamma: float,
-                 face: np.ndarray) -> np.ndarray:
-    pc = np.clip(p, INTERIOR_EPS, 1.0 - INTERIOR_EPS)
-    g = log_a - np.log(pc) - 1.0 + gamma * (np.log1p(-pc) + 1.0)
-    return np.where(face, g, 0.0)
+def _gradient_np(log_a: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
+    return log_a - np.log(p) - 1.0 + gamma * (np.log1p(-p) + 1.0)
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +242,7 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
         # on Q = diag(r) A diag(c) from log-domain sweeps.  On doubly
         # stochastic P the objective of Q is that of A plus
         # shift = sum log r + sum log c.
-        log_a = np.array([[log_scalar(x) for x in row] for row in matrix.entries])
+        log_a = _log_entries(matrix)
         log_q, shift = prescale(np.where(face, log_a, -np.inf))
         a = np.exp(log_q)  # the starting point only
     else:
@@ -285,7 +273,8 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        g = _gradient_np(log_q, p, gamma, face)
+        pc = np.clip(p, INTERIOR_EPS, 1.0 - INTERIOR_EPS)
+        g = np.where(face, _gradient_np(log_q, pc, gamma), 0.0)
         residual = _fw_gap(g, p, face)
         if residual <= tol:
             converged = True
@@ -379,9 +368,9 @@ def bound_report(matrix: NonNegMatrix, tol: float = TOL_OPT_DEFAULT,
       of the Bethe value.
     """
     n = matrix.n
-    if not has_matching_support(matrix):
-        raise ZeroPermanentError("permanent is zero: bound report undefined")
     log_per = log_permanent(matrix)
+    if log_per == float("-inf"):
+        raise ZeroPermanentError("permanent is zero: bound report undefined")
     bethe = optimize(matrix, -1.0, tol=tol, max_iter=max_iter)
     bp_half = optimize(matrix, -0.5, tol=tol, max_iter=max_iter)
     log_beta_marg = beta_objective(matrix, marginals(matrix))

@@ -26,7 +26,6 @@ from .matrices import (
     MatrixParseError,
     NonNegMatrix,
     StochasticVector,
-    ZeroPermanentError,
     matrix_to_json_dict,
     parse_matrix,
     parse_vector_csv,
@@ -278,10 +277,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ZeroPermanentError, ValueError) as exc:
+    except ValueError as exc:  # MatrixParseError and ZeroPermanentError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -30,22 +30,6 @@ class MatrixParseError(ValueError):
     """Matrix or vector input could not be parsed; message carries position info."""
 
 
-class SinkhornConvergenceError(RuntimeError):
-    """Sinkhorn scaling hit the iteration cap before reaching tolerance.
-
-    Carries the best iterate found so callers can inspect or reuse it.
-    """
-
-    def __init__(self, message: str, best: "DoublyStochMatrix | None",
-                 row_scalers: tuple[float, ...], col_scalers: tuple[float, ...],
-                 deviation: float):
-        super().__init__(message)
-        self.best = best
-        self.row_scalers = row_scalers
-        self.col_scalers = col_scalers
-        self.deviation = deviation
-
-
 def is_exact_scalar(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
@@ -340,59 +324,6 @@ def prescale(log_a: np.ndarray) -> tuple[np.ndarray, float]:
         if np.abs(row).max() <= _PRESCALE_TOL:
             break
     return log_q, shift
-
-
-def sinkhorn_scale(matrix: NonNegMatrix, tol: float = DEFAULT_DS_TOL,
-                   max_iter: int = 100_000,
-                   ) -> tuple[DoublyStochMatrix, tuple[float, ...], tuple[float, ...]]:
-    """Scale A to doubly stochastic form P = diag(r) A diag(c).
-
-    Alternates row and column normalization until the maximum row/column sum
-    deviation from 1 drops below ``tol``.  Operates in float64; rational
-    entries are converted (the scaling limit is irrational in general).
-
-    Returns:
-        (P, row_scalers, col_scalers) with P reconstructible entrywise as
-        r[i] * A[i][j] * c[j].
-
-    Raises:
-        ZeroPermanentError: support admits no perfect matching.
-        SinkhornConvergenceError: tolerance not reached in ``max_iter`` sweeps;
-            the error carries the best iterate.
-    """
-    if not has_matching_support(matrix):
-        raise ZeroPermanentError(
-            "support admits no perfect matching: permanent is zero, "
-            "no doubly stochastic scaling exists")
-    a = matrix.numpy()
-    n = matrix.n
-    p = a.copy()
-    r = np.ones(n)
-    c = np.ones(n)
-
-    best_dev = float("inf")
-    best = (r.copy(), c.copy())
-    for _ in range(max_iter):
-        row, col = sinkhorn_sweep(p)
-        r /= row[:, 0]
-        c /= col[0]
-        # after the column step rows may drift; measure both
-        dev = max(np.abs(p.sum(axis=1) - 1.0).max(),
-                  np.abs(p.sum(axis=0) - 1.0).max())
-        if dev < best_dev:
-            best_dev = dev
-            best = (r.copy(), c.copy())
-        if dev <= tol:
-            scaled = validate_doubly_stochastic(p, tol=max(tol, 4 * dev + 1e-15))
-            return scaled, tuple(r), tuple(c)
-
-    r, c = best
-    p = (a * c) * r[:, None]
-    raise SinkhornConvergenceError(
-        f"did not reach deviation {tol} within {max_iter} sweeps "
-        f"(best {best_dev:.3g})",
-        DoublyStochMatrix(tuple(tuple(row) for row in p)),
-        tuple(r), tuple(c), best_dev)
 
 
 # ---------------------------------------------------------------------------

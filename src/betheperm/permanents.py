@@ -2,8 +2,10 @@
 
 On exact (integer or rational) input two independent permanent algorithms
 are kept side by side: full permutation enumeration (the definition,
-n <= 10) and Ryser's inclusion-exclusion with Gray-code subset iteration
-(n <= 30); one more Gray-code pass gives every minor.  All are exact.
+n <= 10) and Ryser's inclusion-exclusion (n <= 30).  One Gray-code walk over
+the column subsets, which keeps each row's sum over the current subset,
+drives both Ryser's formula and the pass that gives every minor.  All are
+exact.
 
 Float input goes through one numpy pass of Glynn's formula, in blocks of at
 most 2^10 sign vectors, on Q = diag(r) A diag(c) from log-domain Sinkhorn
@@ -122,33 +124,41 @@ def per_ryser(matrix: NonNegMatrix) -> Scalar:
     if not matrix.is_exact:
         with np.errstate(over="ignore"):
             return float(np.exp(_float_pass(matrix)[0]))
-    _check_ryser_limit(matrix.n)
-    return _ryser_exact(matrix.entries, matrix.n)
-
-
-def _ryser_exact(rows, n: int) -> Scalar:
-    sums = [0] * n
+    n = matrix.n
+    _check_ryser_limit(n)
     total = 0
-    size = 0
-    gray = 0
-    for k in range(1, 1 << n):
-        bit = (k & -k).bit_length() - 1
-        gray ^= 1 << bit
-        if gray & (1 << bit):
-            size += 1
-            for i in range(n):
-                sums[i] = sums[i] + rows[i][bit]
-        else:
-            size -= 1
-            for i in range(n):
-                sums[i] = sums[i] - rows[i][bit]
+    for sign, _, sums in _gray_walk(matrix.entries, n):
         product = sums[0]
         for i in range(1, n):
             if product == 0:
                 break
             product = product * sums[i]
-        total = total + product if (n - size) % 2 == 0 else total - product
+        total = total + product if sign > 0 else total - product
     return total
+
+
+def _gray_walk(rows, n: int):
+    """Every nonempty column subset S in Gray-code order, one column in or
+    out per step (Nijenhuis & Wilf).
+
+    Yields (sign, members, sums): sign = (-1)^(n - |S|), the columns of S,
+    and sums[i] = sum of row i over S.  The lists are updated in place.
+    """
+    sums = [0] * n
+    members: list[int] = []
+    gray = 0
+    for k in range(1, 1 << n):
+        bit = (k & -k).bit_length() - 1
+        gray ^= 1 << bit
+        if gray & (1 << bit):
+            members.append(bit)
+            for i in range(n):
+                sums[i] = sums[i] + rows[i][bit]
+        else:
+            members.remove(bit)
+            for i in range(n):
+                sums[i] = sums[i] - rows[i][bit]
+        yield (1 if (n - len(members)) % 2 == 0 else -1), members, sums
 
 
 def _glynn(q: np.ndarray) -> tuple[float, np.ndarray]:
@@ -224,18 +234,24 @@ def log_permanent(matrix: NonNegMatrix) -> float:
 
 @dataclass(frozen=True)
 class GibbsWeights:
-    """per-permutation weights of A together with their normalizer per(A)."""
+    """per-permutation weights of A together with their normalizer.
+
+    ``total`` is per(A) on exact input.  On float input it is log per(A), and
+    probabilities are taken in the log domain, since per(A) and the weights
+    can leave the float range where the probabilities do not.
+    """
 
     matrix: NonNegMatrix
     total: Scalar
 
     @classmethod
     def of(cls, matrix: NonNegMatrix) -> "GibbsWeights":
-        total = per_ryser(matrix)
-        if total == 0:
-            raise ZeroPermanentError("permanent is zero: weights cannot be normalized")
         if matrix.is_exact:
-            total = Fraction(total)  # keep int/int divisions exact
+            total, zero = Fraction(per_ryser(matrix)), 0  # keep int/int divisions exact
+        else:
+            total, zero = log_permanent(matrix), float("-inf")
+        if total == zero:
+            raise ZeroPermanentError("permanent is zero: weights cannot be normalized")
         return cls(matrix, total)
 
     def weight(self, sigma: Permutation) -> Scalar:
@@ -243,12 +259,11 @@ class GibbsWeights:
 
     def probability(self, sigma: Permutation) -> Scalar:
         sigma = validate_permutation(sigma, self.matrix.n)
-        return self.weight(sigma) / self.total
-
-
-def mu_prob(matrix: NonNegMatrix, sigma: Permutation) -> Scalar:
-    """Probability of ``sigma`` under the weight-proportional distribution."""
-    return GibbsWeights.of(matrix).probability(sigma)
+        if isinstance(self.total, Fraction):
+            return self.weight(sigma) / self.total
+        rows = self.matrix.entries
+        return math.exp(sum(log_scalar(rows[i][j]) for i, j in enumerate(sigma))
+                        - self.total)
 
 
 def permanent_minors(matrix: NonNegMatrix) -> list[list[Scalar]]:
@@ -265,43 +280,18 @@ def permanent_minors(matrix: NonNegMatrix) -> list[list[Scalar]]:
     _check_ryser_limit(n)
     if not matrix.is_exact:
         return _glynn(matrix.numpy())[1].tolist()
-    if n == 1:
-        return [[1]]
-    rows = matrix.entries
-    sums = [0] * n
     minors = [[0] * n for _ in range(n)]
-    members: list[int] = []
-    size = 0
-    gray = 0
-    sign_base = 1 if (n - 1) % 2 == 0 else -1
-    for k in range(1, 1 << n):
-        bit = (k & -k).bit_length() - 1
-        gray ^= 1 << bit
-        if gray & (1 << bit):
-            size += 1
-            members.append(bit)
-            for i in range(n):
-                sums[i] = sums[i] + rows[i][bit]
-        else:
-            size -= 1
-            members.remove(bit)
-            for i in range(n):
-                sums[i] = sums[i] - rows[i][bit]
+    for sign, members, sums in _gray_walk(matrix.entries, n):
         # products of all row sums except row i, via prefix/suffix sweeps
         prefix = [1] * (n + 1)
         for i in range(n):
             prefix[i + 1] = prefix[i] * sums[i]
-        suffix = 1
-        sign = sign_base if (size - 1) % 2 == 0 else -sign_base
+        suffix = sign  # carries Ryser's sign into every product
         for i in range(n - 1, -1, -1):
             exclude_i = prefix[i] * suffix
             if exclude_i != 0:
-                if sign > 0:
-                    for j in members:
-                        minors[i][j] = minors[i][j] + exclude_i
-                else:
-                    for j in members:
-                        minors[i][j] = minors[i][j] - exclude_i
+                for j in members:
+                    minors[i][j] = minors[i][j] + exclude_i
             suffix = suffix * sums[i]
     return minors
 

@@ -62,6 +62,29 @@ def eval_log_form(form: LogForm) -> float:
     return sum(float(c) * log_scalar(arg) for arg, c in form.items())
 
 
+def _add_prefix_suffix_terms(form: LogForm, values: list[Fraction], factor: int) -> None:
+    """Add factor * x_k log(prefix_k) and factor * x_k log(suffix_k) for every
+    coordinate x_k, where prefix_k and suffix_k both include x_k."""
+    for seq in (values, values[::-1]):
+        running = Fraction(0)
+        for x in seq:
+            running += x
+            add_log_term(form, running, factor * x)
+
+
+def _prefix_suffix_log_sum(values: list[float]) -> float:
+    """sum_k x_k log(prefix_k) + sum_k x_k log(suffix_k) in floats, with
+    x log x = 0 at zero coordinates."""
+    acc = 0.0
+    for seq in (values, values[::-1]):
+        running = 0.0
+        for x in seq:
+            running += x
+            if x > 0.0:
+                acc += x * math.log(running)
+    return acc
+
+
 def phi_log_form(p) -> LogForm:
     """The gap function of a rational simplex point as an exact log-linear form.
 
@@ -71,14 +94,7 @@ def phi_log_form(p) -> LogForm:
     """
     entries = [Fraction(x) for x in _as_entries(p)]
     form: LogForm = {}
-    prefix = Fraction(0)
-    for x in entries:
-        prefix += x
-        add_log_term(form, prefix, x)
-    suffix = Fraction(0)
-    for x in reversed(entries):
-        suffix += x
-        add_log_term(form, suffix, x)
+    _add_prefix_suffix_terms(form, entries, 1)
     for x in entries:
         rest = 1 - x
         if rest > 0:
@@ -100,17 +116,7 @@ def phi(p) -> float:
     if entries and all(is_exact_scalar(x) for x in entries):
         return eval_log_form(phi_log_form(entries))
     values = [float(x) for x in entries]
-    acc = 0.0
-    running = 0.0
-    for x in values:
-        running += x
-        if x > 0.0:
-            acc += x * math.log(running)
-    running = 0.0
-    for x in reversed(values):
-        running += x
-        if x > 0.0:
-            acc += x * math.log(running)
+    acc = _prefix_suffix_log_sum(values)
     for x in values:
         if x < 1.0:
             acc -= 2.0 * (1.0 - x) * math.log1p(-x)
@@ -131,31 +137,13 @@ def entropy_dominance_check(p, slack: float = 1e-12) -> bool:
             rest = 1 - x
             if rest > 0:
                 add_log_term(diff, rest, rest)
-        prefix = Fraction(0)
-        for x in values:
-            prefix += x
-            add_log_term(diff, prefix, -x)
-        suffix = Fraction(0)
-        for x in reversed(values):
-            suffix += x
-            add_log_term(diff, suffix, -x)
+        _add_prefix_suffix_terms(diff, values, -1)
         if not diff:
             return True  # exact equality
         return eval_log_form(diff) >= -slack
     values = [float(x) for x in entries]
     lhs = sum((1.0 - x) * math.log1p(-x) for x in values if x < 1.0)
-    rhs = 0.0
-    running = 0.0
-    for x in values:
-        running += x
-        if x > 0.0:
-            rhs += x * math.log(running)
-    running = 0.0
-    for x in reversed(values):
-        running += x
-        if x > 0.0:
-            rhs += x * math.log(running)
-    return lhs >= rhs - slack
+    return lhs >= _prefix_suffix_log_sum(values) - slack
 
 
 def within_merge_threshold(r: Scalar, s: Scalar) -> bool:

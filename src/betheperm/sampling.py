@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bethe import bp_objective
 from .matrices import (
     DoublyStochMatrix,
     NonNegMatrix,
@@ -239,7 +240,7 @@ def entropy_upper_bound(matrix: NonNegMatrix) -> float:
     if n > ENUM_LIMIT:
         raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
     weights = _marginals(matrix)
-    acc = _relative_weight_term(matrix, weights)
+    acc = bp_objective(matrix, weights, 0.0)
     for row in weights.entries:
         acc += _avg_tail_log_sum(row)
     return acc
@@ -271,21 +272,8 @@ def entropy_upper_bound_sampled(matrix: NonNegMatrix, num_orders: int,
                 if x > 0.0:
                     value += x * math.log(tail)
         samples[k] = value
-    base = _relative_weight_term(matrix, weights)
+    base = bp_objective(matrix, weights, 0.0)
     return base + float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(num_orders))
-
-
-def _relative_weight_term(matrix: NonNegMatrix, weights: DoublyStochMatrix) -> float:
-    """sum_e P_e log(A_e / P_e), exact-ratio aware."""
-    acc = 0.0
-    for arow, prow in zip(matrix.entries, weights.entries):
-        for a, p in zip(arow, prow):
-            if p > 0:
-                if is_exact_scalar(a) and is_exact_scalar(p):
-                    acc += float(p) * log_scalar(Fraction(a) / Fraction(p))
-                else:
-                    acc += float(p) * (math.log(float(a)) - math.log(float(p)))
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,17 @@ class TestObjectives:
         # relative term vanishes; four entropy terms of (1/2) log(1/2)
         assert beta_objective(a, p) == pytest.approx(-2 * LOG2, abs=1e-14)
 
+    def test_exact_entry_beyond_the_float_range(self):
+        a = NonNegMatrix(((10**400, 0), (0, 1)))
+        p = validate_doubly_stochastic(identity_matrix(2))
+        assert beta_objective(a, p) == pytest.approx(400 * math.log(10), abs=1e-9)
+
+    def test_mass_below_the_float_range_on_a_zero_entry(self):
+        # eps is 0.0 as a float, but P still puts mass where A is zero
+        eps = Fraction(1, 10**400)
+        p = validate_doubly_stochastic([[1 - eps, eps], [eps, 1 - eps]])
+        assert beta_objective(identity_matrix(2), p) == float("-inf")
+
 
 class TestGradient:
     def test_matches_central_differences(self):

@@ -1,4 +1,4 @@
-"""Domain types, constructions, Sinkhorn scaling, and file formats."""
+"""Domain types, constructions, support analysis, and file formats."""
 
 import itertools
 import json
@@ -16,8 +16,6 @@ import betheperm
 from betheperm import (
     MatrixParseError,
     NonNegMatrix,
-    SinkhornConvergenceError,
-    ZeroPermanentError,
     block_diag,
     has_matching_support,
     identity_tensor,
@@ -28,7 +26,6 @@ from betheperm import (
     parse_matrix_json,
     parse_vector_csv,
     per_bruteforce,
-    sinkhorn_scale,
     validate_doubly_stochastic,
     validate_stochastic_vector,
 )
@@ -212,56 +209,6 @@ class TestMatchingSupport:
             [sys.executable, "-c", "import betheperm, sys; "
              "assert not [m for m in sys.modules if m.startswith('scipy')]"],
             env=env, check=True, timeout=60)
-
-
-class TestSinkhorn:
-    def test_identity_fixed_point(self):
-        p, r, c = sinkhorn_scale(identity_matrix(3), tol=1e-12)
-        assert np.allclose(p.numpy(), np.eye(3), atol=1e-12)
-        assert np.allclose(r, 1.0) and np.allclose(c, 1.0)
-
-    def test_constant_matrix(self):
-        p, _, _ = sinkhorn_scale(NonNegMatrix(((2, 2), (2, 2))), tol=1e-12)
-        assert np.allclose(p.numpy(), 0.5 * np.ones((2, 2)), atol=1e-12)
-
-    def test_boundary_support_reaches_identity_limit(self):
-        # the only support permutation is the diagonal; convergence is slow
-        # (O(1/k)) so only a moderate tolerance is requested
-        a = NonNegMatrix(((1, 1), (0, 1)))
-        p, _, _ = sinkhorn_scale(a, tol=1e-4, max_iter=200_000)
-        assert abs(p.entries[0][0] - 1.0) < 1e-3
-        assert abs(p.entries[1][1] - 1.0) < 1e-3
-
-    def test_scalers_reconstruct(self):
-        rng = np.random.default_rng(3)
-        a = NonNegMatrix(tuple(tuple(float(x) for x in row)
-                               for row in rng.uniform(0.1, 1.0, (5, 5))))
-        p, r, c = sinkhorn_scale(a, tol=1e-12)
-        rebuilt = np.array(r)[:, None] * a.numpy() * np.array(c)[None, :]
-        assert np.abs(rebuilt - p.numpy()).max() <= 1e-12
-
-    def test_validates_at_tolerance(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            a = NonNegMatrix(tuple(tuple(float(x) for x in row)
-                                   for row in rng.uniform(0.0, 1.0, (4, 4))))
-            if not has_matching_support(a):
-                continue
-            p, _, _ = sinkhorn_scale(a, tol=1e-9)
-            validate_doubly_stochastic(p, tol=1e-8)
-
-    def test_zero_permanent_error(self):
-        with pytest.raises(ZeroPermanentError):
-            sinkhorn_scale(NonNegMatrix(((1, 0), (0, 0))))
-
-    def test_nonconvergence_carries_best_iterate(self):
-        a = NonNegMatrix(((1, 1), (0, 1)))
-        with pytest.raises(SinkhornConvergenceError) as info:
-            sinkhorn_scale(a, tol=1e-12, max_iter=50)
-        err = info.value
-        assert err.best is not None
-        assert err.deviation < 1.0
-        assert len(err.row_scalers) == 2
 
 
 class TestFileFormats:

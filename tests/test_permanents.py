@@ -18,7 +18,6 @@ from betheperm import (
     identity_tensor,
     log_permanent,
     marginals,
-    mu_prob,
     ones,
     per_bruteforce,
     per_ryser,
@@ -166,13 +165,13 @@ class TestMarginals:
 
 class TestWeightDistribution:
     def test_uniform_case(self):
-        assert mu_prob(ones(2), (0, 1)) == Fraction(1, 2)
+        assert GibbsWeights.of(ones(2)).probability((0, 1)) == Fraction(1, 2)
 
     def test_identity_case(self):
-        assert mu_prob(identity_matrix(3), (0, 1, 2)) == 1
+        assert GibbsWeights.of(identity_matrix(3)).probability((0, 1, 2)) == 1
 
     def test_swap_probability(self):
-        assert mu_prob(NonNegMatrix(((1, 2), (3, 4))), (1, 0)) == Fraction(6, 10)
+        assert GibbsWeights.of(NonNegMatrix(((1, 2), (3, 4)))).probability((1, 0)) == Fraction(6, 10)
 
     def test_probabilities_sum_to_one_exactly(self):
         rng = np.random.default_rng(47)
@@ -185,7 +184,13 @@ class TestWeightDistribution:
 
     def test_zero_permanent_is_an_error(self):
         with pytest.raises(ZeroPermanentError):
-            mu_prob(NonNegMatrix(((0, 1), (0, 1))), (0, 1))
+            GibbsWeights.of(NonNegMatrix(((0, 1), (0, 1))))
+
+    def test_float_weights_below_the_float_range(self):
+        # per(A) = 1e-600 is 0.0 as a float, but log per(A) = -1381.55
+        gibbs = GibbsWeights.of(NonNegMatrix(((1e-300, 0.0), (0.0, 1e-300))))
+        assert abs(gibbs.probability((0, 1)) - 1.0) <= 1e-12
+        assert gibbs.probability((1, 0)) == 0.0
 
 
 # ---------------------------------------------------------------------------

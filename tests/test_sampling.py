@@ -167,6 +167,13 @@ class TestKL:
         dist = NuDistribution(marginals(a), (0, 1))
         assert kl_mu_nu(a, dist) == 0.0
 
+    def test_permanent_below_the_float_range(self):
+        # per(A) = 2e-400 underflows as a float; the weights are normalized
+        # in the log domain
+        a = NonNegMatrix(((1e-200, 1e-200), (1e-200, 1e-200)))
+        dist = NuDistribution(marginals(a), (0, 1))
+        assert abs(kl_mu_nu(a, dist)) <= 1e-12
+
     def test_positive_at_n3_and_matches_direct_sum(self):
         a = NonNegMatrix(((1, 2, 3), (4, 5, 6), (7, 8, 10)))
         dist = NuDistribution(marginals(a), (0, 1, 2))

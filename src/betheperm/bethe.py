@@ -6,10 +6,12 @@ The central objective on a doubly stochastic P is
 
 which interpolates from the mean-field value at gamma = 1 down to the Bethe
 value at gamma = -1; it is concave on the Birkhoff polytope for gamma in
-[-1, 1].  Maximization uses entropic mirror ascent (multiplicative gradient
-steps re-projected by Sinkhorn sweeps) with backtracking, and reports a
-linear-assignment first-order gap as the optimality residual: for a concave
-objective the gap upper-bounds the distance to the optimum value.
+[-1, 1].  Maximization uses entropic mirror ascent with backtracking:
+each multiplicative gradient step is re-projected onto the polytope by
+diagonal scaling, two Sinkhorn sweeps and then Newton steps on the scaling
+dual, each an n x n solve.  The optimality residual is a linear-assignment
+first-order gap: for a concave objective the gap upper-bounds the distance
+to the optimum value.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .matrices import (
     sinkhorn_sweep,
     validate_doubly_stochastic,
 )
-from .permanents import log_permanent, marginals
+from .permanents import _float_pass, log_permanent, marginals
 
 LOG2 = math.log(2.0)
 
@@ -134,14 +136,25 @@ def _fw_gap(g: np.ndarray, p: np.ndarray, face: np.ndarray) -> float:
 
 
 def _project_birkhoff(p: np.ndarray, tol: float = 1e-12,
-                      max_sweeps: int = 12,
+                      max_sweeps: int = 2,
                       max_newton: int = 100) -> np.ndarray | None:
     """Diagonal scaling of ``p`` onto the Birkhoff polytope; None on collapse.
 
-    Plain Sinkhorn sweeps stall when entries approach zero (the contraction
-    factor tends to one near the polytope boundary), so after a warm-start
-    sweep phase the row/column log-scalers are solved by damped Newton on the
-    scaling dual, whose convergence does not degrade there.
+    Up to two Sinkhorn sweeps absorb the overall scale of ``p``.  Sweeps
+    alone stall when entries approach zero (the contraction factor tends to
+    one near the polytope boundary), so the row and column log-scalers u, v
+    are then found by damped Newton on the scaling dual
+    sum_ij q_ij exp(u_i + v_j) - sum u - sum v, whose convergence does not
+    degrade there.  With S the scaled matrix, r and c its row and column
+    sums, g_r = r - 1 and g_c = c - 1, each step eliminates the row scalers
+    and solves the n x n Schur complement
+
+        (diag(c) - S^T diag(1/r) S) dv = S^T (g_r / r) - g_c,
+        du = -(g_r + S dv) / r.
+
+    The ones vector of each connected block of the support spans that
+    matrix's null space and the right side is orthogonal to it; a 1e-14
+    ridge fixes the gauge, which cancels in u_i + v_j anyway.
     """
     q = p.copy()
     for _ in range(max_sweeps):
@@ -160,35 +173,40 @@ def _project_birkhoff(p: np.ndarray, tol: float = 1e-12,
     def scaled(u_: np.ndarray, v_: np.ndarray) -> np.ndarray:
         return np.exp(log_q + u_[:, None] + v_[None, :])
 
-    s = scaled(u, v)
+    s, r, c = q, q.sum(axis=1), q.sum(axis=0)
+    diagonal = np.diag_indices(n)
     for _ in range(max_newton):
-        r = s.sum(axis=1)
-        c = s.sum(axis=0)
         g = np.concatenate([r - 1.0, c - 1.0])
         err = np.abs(g).max()
         if err <= tol:
             return s
-        hess = np.block([[np.diag(r), s], [s.T, np.diag(c)]])
-        hess[np.diag_indices_from(hess)] += 1e-14  # translation nullspace ridge
+        w = s / r[:, None]  # diag(1/r) S
+        schur = -(s.T @ w)
+        schur[diagonal] += c + 1e-14  # diag(c), plus the gauge ridge
         try:
-            delta = np.linalg.solve(hess, -g)
+            dv = np.linalg.solve(schur, w.T @ g[:n] - g[n:])
         except np.linalg.LinAlgError:
             return None
+        du = -(g[:n] + s @ dv) / r
         step = 1.0
         norm = np.linalg.norm(g)
         while step >= 1e-8:
-            u_try = u + step * delta[:n]
-            v_try = v + step * delta[n:]
-            s_try = scaled(u_try, v_try)
-            g_try = np.concatenate([s_try.sum(axis=1) - 1.0,
-                                    s_try.sum(axis=0) - 1.0])
-            if np.linalg.norm(g_try) <= (1.0 - 0.25 * step) * norm:
-                u, v, s = u_try, v_try, s_try
+            u_try = u + step * du
+            v_try = v + step * dv
+            # a step through a nearly disconnected support can overflow;
+            # its infinite residual fails the test and halves the step
+            with np.errstate(over="ignore"):
+                s_try = scaled(u_try, v_try)
+                r_try, c_try = s_try.sum(axis=1), s_try.sum(axis=0)
+                g_try = np.concatenate([r_try - 1.0, c_try - 1.0])
+                accept = np.linalg.norm(g_try) <= (1.0 - 0.25 * step) * norm
+            if accept:
+                u, v, s, r, c = u_try, v_try, s_try, r_try, c_try
                 break
             step *= 0.5
         else:
             return s if err <= 1e-9 else None
-    return s if np.abs(s.sum(axis=1) - 1.0).max() <= 1e-9 else None
+    return s if np.abs(r - 1.0).max() <= 1e-9 else None
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +386,16 @@ def bound_report(matrix: NonNegMatrix, tol: float = TOL_OPT_DEFAULT,
       of the Bethe value.
     """
     n = matrix.n
-    log_per = log_permanent(matrix)
+    # on float input one Glynn pass gives the permanent and the marginals
+    log_per, weights = ((log_permanent(matrix), None) if matrix.is_exact
+                        else _float_pass(matrix))
     if log_per == float("-inf"):
         raise ZeroPermanentError("permanent is zero: bound report undefined")
+    marg = (marginals(matrix) if weights is None
+            else validate_doubly_stochastic(weights))
     bethe = optimize(matrix, -1.0, tol=tol, max_iter=max_iter)
     bp_half = optimize(matrix, -0.5, tol=tol, max_iter=max_iter)
-    log_beta_marg = beta_objective(matrix, marginals(matrix))
+    log_beta_marg = beta_objective(matrix, marg)
 
     slack = 1e-9
     checks = {

@@ -144,12 +144,20 @@ def validate_doubly_stochastic(matrix, tol: float = DEFAULT_DS_TOL) -> DoublySto
 
     Rational input is checked for exact equality; float input within ``tol``.
     The first violated constraint is reported (negative entry, row, or column,
-    all 1-based in messages).
+    all 1-based in messages).  A square ndarray is checked in numpy, and the
+    entry loop below runs only to name the first violation; its sums are
+    cumulative, in the loop's order, so both agree bit for bit.
     """
     if isinstance(matrix, (NonNegMatrix, DoublyStochMatrix)):
         rows = matrix.entries
     elif isinstance(matrix, np.ndarray):
-        rows = tuple(tuple(float(x) for x in row) for row in matrix)
+        q = matrix.astype(float)
+        rows = tuple(map(tuple, q.tolist()))
+        if q.ndim == 2 and q.shape[0] == q.shape[1] > 0 and not (
+                (q < 0).any() or (q > 1 + tol).any()
+                or (np.abs(np.cumsum(q, axis=1)[:, -1] - 1) > tol).any()
+                or (np.abs(np.cumsum(q, axis=0)[-1] - 1) > tol).any()):
+            return DoublyStochMatrix(rows)
     else:
         rows = _freeze_rows(matrix)
     n = len(rows)

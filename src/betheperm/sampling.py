@@ -134,7 +134,10 @@ def kl_mu_nu(matrix: NonNegMatrix, dist: NuDistribution) -> float:
     """KL divergence from the weight-proportional distribution to the proposal.
 
     Full enumeration (n <= 7); always nonnegative, and exactly zero when the
-    two distributions coincide pointwise.
+    two distributions coincide pointwise.  On float input each mu(sigma) is
+    exp(sum log a - log per), and log per carries about 1e-13 of error
+    (``log_permanent``), so the sum is accurate to about 1e-13; it is
+    clamped at 0.
     """
     n = matrix.n
     if n != dist.n:
@@ -154,7 +157,7 @@ def kl_mu_nu(matrix: NonNegMatrix, dist: NuDistribution) -> float:
             acc += float(mu) * log_scalar(Fraction(mu) / Fraction(nu))
         else:
             acc += float(mu) * (math.log(float(mu)) - math.log(float(nu)))
-    return acc
+    return acc if matrix.is_exact else max(acc, 0.0)
 
 
 # ---------------------------------------------------------------------------

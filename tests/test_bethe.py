@@ -2,10 +2,12 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betheperm import (
     NonNegMatrix,
@@ -23,7 +25,9 @@ from betheperm import (
     per_ryser,
     validate_doubly_stochastic,
 )
+from betheperm import bethe, permanents
 from tests.test_matrices import identity_matrix
+from tests.test_permanents import as_float, dyadic_rows
 
 LOG2 = math.log(2.0)
 
@@ -231,6 +235,16 @@ class TestOptimize:
         assert result.log_value == pytest.approx(log_permanent(a), abs=1e-9)
         assert result.objective_history[-1] == pytest.approx(result.log_value, abs=1e-9)
 
+    def test_overflowing_newton_trial_is_silent(self):
+        # a full Newton step of one re-projection overflows exp() on this
+        # input; the line search rejects it without a RuntimeWarning
+        a = NonNegMatrix(tuple(tuple(math.ldexp(x, -6) for x in row) for row in
+                               ((0, 16, 61), (44, 33, 0), (33, 24, 22))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = optimize(a, -1.0)
+        assert result.converged
+
     def test_nonconvergence_is_flagged_not_wrong(self):
         rng = np.random.default_rng(13)
         a = random_positive_matrix(rng, 5)
@@ -240,7 +254,82 @@ class TestOptimize:
         validate_doubly_stochastic(result.optimizer_P, tol=1e-9)
 
 
+def _scaling_fit_error(q, s):
+    """Largest misfit of log s - log q to u_i + v_j on the support of q,
+    for the least-squares u and v."""
+    n = q.shape[0]
+    rows, cols = np.nonzero(q > 0)
+    incidence = np.zeros((len(rows), 2 * n))
+    incidence[np.arange(len(rows)), rows] = 1.0
+    incidence[np.arange(len(rows)), n + cols] = 1.0
+    d = np.log(s[rows, cols]) - np.log(q[rows, cols])
+    uv = np.linalg.lstsq(incidence, d, rcond=None)[0]
+    return float(np.abs(incidence @ uv - d).max())
+
+
+def _sparse_face_input(rng, n):
+    """A doubly stochastic mix of 4 permutation matrices, two of them with
+    weights 1e-280 and 1e-150, times entrywise factors in [e^-3, e^3]: the
+    shape of an ascent step near the polytope boundary."""
+    p = np.zeros((n, n))
+    weights = rng.dirichlet(np.ones(4))
+    weights[:2] = 1e-280, 1e-150
+    for w in weights:
+        p[np.arange(n), rng.permutation(n)] += w
+    return p * np.exp(rng.uniform(-3.0, 3.0, (n, n)))
+
+
+class TestProjection:
+    def check(self, q):
+        for scale in (1.0, 2.0 ** 100, 2.0 ** -100):
+            s = bethe._project_birkhoff(q * scale)
+            assert s is not None
+            assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(s.sum(axis=0) - 1.0).max() <= 1e-12
+            assert ((s > 0) == (q > 0)).all()
+            assert _scaling_fit_error(q, s) <= 1e-9
+
+    def test_dense_positive(self):
+        rng = np.random.default_rng(59)
+        for n in range(2, 31):
+            self.check(rng.uniform(0.05, 1.0, (n, n)))
+
+    def test_sparse_faces_down_to_1e_280(self):
+        rng = np.random.default_rng(61)
+        smallest = 1.0
+        for n in range(2, 31):
+            q = _sparse_face_input(rng, n)
+            smallest = min(smallest, q[q > 0].min())
+            self.check(q)
+        assert smallest < 1e-280
+
+    def test_zero_row_collapses(self):
+        q = np.random.default_rng(67).uniform(0.05, 1.0, (5, 5))
+        q[2] = 0.0
+        assert bethe._project_birkhoff(q) is None
+
+
 class TestProperties:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_invariant_under_permutation_and_transpose(self, data):
+        rows = data.draw(dyadic_rows(max_n=10))
+        n = len(rows)
+        p = data.draw(st.permutations(range(n)))
+        q = data.draw(st.permutations(range(n)))
+        permuted = [[rows[p[i]][q[j]] for j in range(n)] for i in range(n)]
+        transposed = [list(col) for col in zip(*rows)]
+        for gamma in (-1.0, -0.5):
+            base = optimize(as_float(rows), gamma)
+            for variant in (permuted, transposed):
+                other = optimize(as_float(variant), gamma)
+                if base.log_value == float("-inf"):
+                    assert other.log_value == base.log_value
+                    continue
+                assert base.converged and other.converged
+                assert abs(other.log_value - base.log_value) <= (
+                    base.gradient_residual + other.gradient_residual + 1e-12)
+
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(17)
         tol = 1e-8
@@ -363,6 +452,27 @@ class TestBoundReport:
     def test_zero_permanent_propagates(self):
         with pytest.raises(ZeroPermanentError):
             bound_report(NonNegMatrix(((1, 0), (0, 0))))
+        with pytest.raises(ZeroPermanentError):
+            bound_report(NonNegMatrix(((1.0, 0.0), (0.0, 0.0))))
+
+    def test_float_input_takes_one_glynn_pass(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        a = random_positive_matrix(rng, 7)
+        expected_per = log_permanent(a)
+        expected_marg = beta_objective(a, marginals(a))
+        passes = []
+        float_pass = permanents._float_pass
+
+        def counting(matrix):
+            passes.append(matrix)
+            return float_pass(matrix)
+
+        monkeypatch.setattr(permanents, "_float_pass", counting)
+        monkeypatch.setattr(bethe, "_float_pass", counting)
+        report = bound_report(a)
+        assert len(passes) == 1
+        assert report.log_per == expected_per
+        assert report.log_beta_marginals == expected_marg
 
     def test_json_keys(self):
         payload = bound_report(ones(2)).to_json_dict()

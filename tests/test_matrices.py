@@ -63,6 +63,42 @@ class TestValidation:
         with pytest.raises(ValueError, match="negative entry"):
             validate_doubly_stochastic([[0.5, -0.2], [0.5, 1.2]])
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, -0.2, 0.7], [0.5, 1.2, 2.0], [0.0, 0.0, 1.0]],
+         "negative entry -0.2 at row 1, column 2"),
+        ([[0.5, 0.5, 0.0], [0.5, 0.5, 1.5], [0.0, 0.0, -1.0]],
+         "entry 1.5 at row 2, column 3 exceeds 1"),
+        ([[0.5, 0.5, 0.0], [0.5, 0.25, 0.0], [0.0, 0.0, 1.0]],
+         "row 2 sums to 0.75"),
+        ([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]],
+         "column 1 sums to 0.75"),
+    ])
+    def test_ndarray_and_tuples_report_the_same_violation(self, rows, message):
+        for given_rows in (np.array(rows), tuple(map(tuple, rows))):
+            with pytest.raises(ValueError) as info:
+                validate_doubly_stochastic(given_rows)
+            assert str(info.value) == message
+
+    def test_ndarray_and_tuples_agree_at_the_tolerance(self):
+        # tolerances at, and one ulp below, the largest deviation of the
+        # loop's own sums: a sum in any other order can flip the verdict
+        rng = np.random.default_rng(73)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            m = np.zeros((n, n))
+            for w in rng.dirichlet(np.ones(4)):
+                m[np.arange(n), rng.permutation(n)] += w
+            rows = tuple(map(tuple, m.tolist()))
+            dev = max(abs(sum(line) - 1) for line in rows + tuple(zip(*rows)))
+            for tol in (dev, np.nextafter(dev, 0.0)):
+                outcomes = []
+                for given_rows in (m, rows):
+                    try:
+                        outcomes.append(validate_doubly_stochastic(given_rows, tol=tol))
+                    except ValueError as err:
+                        outcomes.append(str(err))
+                assert outcomes[0] == outcomes[1]
+
     def test_exact_mode_requires_exact_sums(self):
         validate_doubly_stochastic([[Fraction(1, 3), Fraction(2, 3)],
                                     [Fraction(2, 3), Fraction(1, 3)]])

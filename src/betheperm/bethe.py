@@ -6,10 +6,14 @@ The central objective on a doubly stochastic P is
 
 which interpolates from the mean-field value at gamma = 1 down to the Bethe
 value at gamma = -1; it is concave on the Birkhoff polytope for gamma in
-[-1, 1].  Maximization uses entropic mirror ascent with backtracking:
-each multiplicative gradient step is re-projected onto the polytope by
-diagonal scaling, two Sinkhorn sweeps and then Newton steps on the scaling
-dual, each an n x n solve.  The optimality residual is a linear-assignment
+[-1, 1].  On doubly stochastic P, diagonal scaling Q = diag(r) A diag(c)
+moves the objective by the constant sum log r + sum log c, so every input,
+exact or float, is maximized on Q from ``matrices.prescale``, whose row and
+column sums are near 1: the steps do not depend on the scale of A.
+Maximization uses entropic mirror ascent with backtracking: each
+multiplicative gradient step is re-projected onto the polytope by diagonal
+scaling, two Sinkhorn sweeps and then Newton steps on the scaling dual,
+each an n x n solve.  The optimality residual is a linear-assignment
 first-order gap: for a concave objective the gap upper-bounds the distance
 to the optimum value.
 """
@@ -25,13 +29,12 @@ from .matrices import (
     DoublyStochMatrix,
     NonNegMatrix,
     ZeroPermanentError,
-    log_scalar,
-    matchable_support,
+    _log_entries,
     prescale,
     sinkhorn_sweep,
     validate_doubly_stochastic,
 )
-from .permanents import _float_pass, log_permanent, marginals
+from .permanents import _marginal_pass
 
 LOG2 = math.log(2.0)
 
@@ -56,12 +59,6 @@ def _check_gamma(gamma: float) -> float:
 # ---------------------------------------------------------------------------
 # Objectives (log domain)
 # ---------------------------------------------------------------------------
-
-def _log_entries(matrix: NonNegMatrix) -> np.ndarray:
-    """log A entrywise, -inf at zero entries.  Exact entries outside the
-    float range, such as 10**400, still get their finite logs."""
-    return np.array([[log_scalar(x) for x in row] for row in matrix.entries])
-
 
 def bp_objective(matrix: NonNegMatrix, weights: DoublyStochMatrix,
                  gamma: float) -> float:
@@ -239,8 +236,10 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
 
     Entries of A equal to zero are frozen at zero, as are support entries that
     no support permutation can use (the polytope face forces them to zero).
-    Iterates stay feasible throughout; the objective never decreases; the
-    returned residual is the final first-order gap.
+    The ascent runs on the prescaled Q, so A scaled by any diagonal factors
+    takes the same steps; the value is recomputed on A itself.  Iterates
+    stay feasible throughout; the objective never decreases; the returned
+    residual is the final first-order gap.
 
     A non-converged run returns its best iterate flagged ``converged=False``.
     """
@@ -250,24 +249,11 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
         raise ValueError("tolerance must be positive")
     n = matrix.n
 
-    face = np.array(matchable_support(matrix), dtype=bool)
-    if not face.any(axis=1).all():  # the mask is empty: no perfect matching
+    scaled = prescale(matrix)
+    if scaled is None:
         history = (float("-inf"),) if record_history else None
         return BetheResult(None, float("-inf"), 0, True, 0.0, gamma, history)
-
-    if matrix.is_exact:
-        # Exact entries may lie outside the float range, so the ascent runs
-        # on Q = diag(r) A diag(c) from log-domain sweeps.  On doubly
-        # stochastic P the objective of Q is that of A plus
-        # shift = sum log r + sum log c.
-        log_a = _log_entries(matrix)
-        log_q, shift = prescale(np.where(face, log_a, -np.inf))
-        a = np.exp(log_q)  # the starting point only
-    else:
-        a = matrix.numpy()
-        with np.errstate(divide="ignore"):
-            log_a = np.log(a)
-        log_q, shift = log_a, 0.0
+    face, log_a, log_q, shift = scaled
 
     if bool((face.sum(axis=1) == 1).all()):
         # the face is a single permutation matrix; nothing to optimize
@@ -279,7 +265,7 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
         return BetheResult(validate_doubly_stochastic(p), value, 0, True, 0.0,
                            gamma, history)
 
-    p = _project_birkhoff(np.where(face, a, 0.0))
+    p = _project_birkhoff(np.exp(log_q))
     if p is None:  # cannot happen on a matchable face; defensive
         raise RuntimeError("initial Sinkhorn projection lost a row or column")
 
@@ -386,13 +372,10 @@ def bound_report(matrix: NonNegMatrix, tol: float = TOL_OPT_DEFAULT,
       of the Bethe value.
     """
     n = matrix.n
-    # on float input one Glynn pass gives the permanent and the marginals
-    log_per, weights = ((log_permanent(matrix), None) if matrix.is_exact
-                        else _float_pass(matrix))
-    if log_per == float("-inf"):
+    log_per, weights = _marginal_pass(matrix)
+    if weights is None:
         raise ZeroPermanentError("permanent is zero: bound report undefined")
-    marg = (marginals(matrix) if weights is None
-            else validate_doubly_stochastic(weights))
+    marg = validate_doubly_stochastic(weights)
     bethe = optimize(matrix, -1.0, tol=tol, max_iter=max_iter)
     bp_half = optimize(matrix, -0.5, tol=tol, max_iter=max_iter)
     log_beta_marg = beta_objective(matrix, marg)

@@ -24,8 +24,6 @@ from .bethe import (
 )
 from .matrices import (
     MatrixParseError,
-    NonNegMatrix,
-    StochasticVector,
     matrix_to_json_dict,
     parse_matrix,
     parse_vector_csv,
@@ -65,25 +63,12 @@ def _scalar_str(x) -> str:
     return _fmt(x)
 
 
-def _load_matrix(path: str, exact: bool) -> NonNegMatrix:
+def _load(path: str, exact: bool, parse=parse_matrix):
+    """Read and parse a matrix file (or, with ``parse_vector_csv``, a vector
+    file); read and parse errors both name the file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise MatrixParseError(f"{path}: {exc}") from exc
-    try:
-        return parse_matrix(text, exact=exact)
-    except MatrixParseError as exc:
-        raise MatrixParseError(f"{path}: {exc}") from exc
-
-
-def _load_vector(path: str, exact: bool) -> StochasticVector:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise MatrixParseError(f"{path}: {exc}") from exc
-    try:
-        return parse_vector_csv(text, exact=exact)
-    except MatrixParseError as exc:
+        return parse(Path(path).read_text(), exact=exact)
+    except (OSError, MatrixParseError) as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
 
 
@@ -101,14 +86,14 @@ def _make_order(kind: str, n: int, seed: int | None):
 # ---------------------------------------------------------------------------
 
 def _cmd_per(args) -> int:
-    matrix = _load_matrix(args.matrix, args.mode == "rational")
+    matrix = _load(args.matrix, args.mode == "rational")
     value = per_bruteforce(matrix) if args.oracle else per_ryser(matrix)
     print(_scalar_str(value))
     return EXIT_OK
 
 
 def _cmd_optimize(args, gamma: float) -> int:
-    matrix = _load_matrix(args.matrix, args.mode == "rational")
+    matrix = _load(args.matrix, args.mode == "rational")
     result = optimize(matrix, gamma, tol=args.tol, max_iter=args.max_iter)
     print(json.dumps({
         "log_value": _json_value(result.log_value),
@@ -129,13 +114,13 @@ def _cmd_bp(args) -> int:
 
 
 def _cmd_marginals(args) -> int:
-    matrix = _load_matrix(args.matrix, args.mode == "rational")
+    matrix = _load(args.matrix, args.mode == "rational")
     print(json.dumps(matrix_to_json_dict(marginals(matrix)), sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    matrix = _load_matrix(args.matrix, args.mode == "rational")
+    matrix = _load(args.matrix, args.mode == "rational")
     report = bound_report(matrix, tol=args.tol, max_iter=args.max_iter)
     payload = report.to_json_dict()
     payload.update({key: _json_value(payload[key]) for key in
@@ -146,7 +131,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    matrix = _load_matrix(args.matrix, args.mode == "rational")
+    matrix = _load(args.matrix, args.mode == "rational")
     weights = marginals(matrix)
     order = _make_order(args.order, matrix.n, args.seed)
     dist = NuDistribution(weights, order)
@@ -158,7 +143,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_kl(args) -> int:
-    matrix = _load_matrix(args.matrix, args.mode == "rational")
+    matrix = _load(args.matrix, args.mode == "rational")
     weights = marginals(matrix)
     order = _make_order(args.order, matrix.n, args.seed)
     print(_fmt(kl_mu_nu(matrix, NuDistribution(weights, order))))
@@ -166,8 +151,7 @@ def _cmd_kl(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    run = certify(args.n_grid, smoke=args.smoke, seed=args.seed,
-                  workers=args.threads)
+    run = certify(args.n_grid, smoke=args.smoke, seed=args.seed)
     if args.failures_log and run.failures:
         with open(args.failures_log, "a") as handle:
             for i, j in run.failures:
@@ -177,7 +161,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    vector = _load_vector(args.vector, args.mode == "rational")
+    vector = _load(args.vector, args.mode == "rational", parse_vector_csv)
     print(_fmt(phi(vector)))
     return EXIT_OK
 
@@ -257,10 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--smoke", type=int, default=None,
                       help="check only this many randomly sampled cells")
     cert.add_argument("--seed", type=int, default=None)
-    cert.add_argument("--threads", type=int, default=1,
-                      help="accepted for compatibility and ignored: the full "
-                           "run filters cells by integer log intervals in one "
-                           "process")
     cert.add_argument("--failures-log", default=None,
                       help="append failing cells to this file, one i,j per line")
     cert.set_defaults(func=_cmd_certify)

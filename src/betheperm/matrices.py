@@ -314,24 +314,41 @@ def sinkhorn_sweep(q: np.ndarray, log: bool = False
     return sums[0], sums[1]
 
 
-def prescale(log_a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Log-domain Sinkhorn sweeps on log A, until its row and column sums
-    are near 1.
+def _log_entries(matrix: NonNegMatrix) -> np.ndarray:
+    """log A entrywise, -inf at zero entries.  Exact entries outside the
+    float range, such as 10**400, still get their finite logs."""
+    if matrix.is_exact:
+        return np.array([[log_scalar(x) for x in row] for row in matrix.entries])
+    with np.errstate(divide="ignore"):
+        return np.log(matrix.numpy())
 
-    Returns log Q and shift = sum log r + sum log c, for Q = diag(r) A
-    diag(c).  The scaling is exact for any r and c, so the sweeps need not
-    converge: per Q = exp(shift) per A, and Q has the marginal matrix of A.
-    A must be zero outside its matchable support (``matchable_support``),
-    which must be nonempty; the sweeps then converge.
+
+def prescale(matrix: NonNegMatrix
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+    """The face of A, log A, and A scaled until its row and column sums
+    are near 1; None when A has no perfect matching.
+
+    The face is the ``matchable_support`` mask.  Log-domain Sinkhorn sweeps
+    on log A restricted to the face give log Q and shift = sum log r +
+    sum log c, for Q = diag(r) A diag(c), so no entry of Q leaves the float
+    range whatever the scale of A.  The scaling is exact for any r and c,
+    so the sweeps need not converge: per Q = exp(shift) per A, Q has the
+    marginal matrix of A, and on a doubly stochastic P the objectives of
+    ``bethe`` at Q exceed those at A by shift.  Returns (face, log A,
+    log Q, shift); log Q is -inf off the face.
     """
-    log_q = log_a.copy()
+    face = np.array(matchable_support(matrix), dtype=bool)
+    if not face.any(axis=1).all():  # the mask is empty: no perfect matching
+        return None
+    log_a = _log_entries(matrix)
+    log_q = np.where(face, log_a, -np.inf)
     shift = 0.0
     for _ in range(_PRESCALE_MAX_SWEEPS):
         row, col = sinkhorn_sweep(log_q, log=True)
         shift -= float(row.sum() + col.sum())
         if np.abs(row).max() <= _PRESCALE_TOL:
             break
-    return log_q, shift
+    return face, log_a, log_q, shift
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,18 @@ are kept side by side: full permutation enumeration (the definition,
 n <= 10) and Ryser's inclusion-exclusion (n <= 30).  One Gray-code walk over
 the column subsets, which keeps each row's sum over the current subset,
 drives both Ryser's formula and the pass that gives every minor.  All are
-exact.
+exact.  The marginal matrix takes one walk: the minors, with per(A) =
+sum_j A_0j minor_0j from them.
 
 Float input goes through one numpy pass of Glynn's formula, in blocks of at
-most 2^10 sign vectors, on Q = diag(r) A diag(c) from log-domain Sinkhorn
-sweeps.  The pass gives log per(A) and the marginal matrix together.  Q's
-row and column sums are near 1, so nothing overflows or underflows whatever
-the scale of A.  Measured against exact integer evaluation of dyadic input
-with n = 6..16, log per(A) is within 1.1e-14 (1.2e-13, one unit in the last
-place, on copies scaled by 2^+-100) and marginal rows and columns sum to 1
-within 2e-14; the tests hold n <= 12 to 1e-12.
+most 2^10 sign vectors, on Q = diag(r) A diag(c) from ``matrices.prescale``,
+the same prescaled matrix the optimizer of ``bethe`` ascends on.  The pass
+gives log per(A) and the marginal matrix together.  Q's row and column sums
+are near 1, so nothing overflows or underflows whatever the scale of A.
+Measured against exact integer evaluation of dyadic input with n = 6..16,
+log per(A) is within 1.1e-14 (1.2e-13, one unit in the last place, on
+copies scaled by 2^+-100) and marginal rows and columns sum to 1 within
+2e-14; the tests hold n <= 12 to 1e-12.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .matrices import (
     Scalar,
     ZeroPermanentError,
     log_scalar,
-    matchable_support,
     prescale,
     validate_doubly_stochastic,
 )
@@ -200,18 +201,18 @@ def _glynn(q: np.ndarray) -> tuple[float, np.ndarray]:
 def _float_pass(matrix: NonNegMatrix) -> tuple[float, np.ndarray | None]:
     """log per(A) and the marginal matrix of float input.
 
-    Entries on no perfect matching are on no permutation of nonzero weight,
-    so they are set to 0 first.  One Glynn pass on Q = diag(r) A diag(c)
-    from ``prescale`` then gives both: log per A = log per Q - shift, and A
-    shares Q's marginal matrix Q_ij minor_ij(Q) / per Q.
-    A zero permanent is decided from the support and gives (-inf, None).
+    ``prescale`` sets the entries on no perfect matching to 0 (they are on
+    no permutation of nonzero weight) and scales the rest to Q =
+    diag(r) A diag(c).  One Glynn pass on Q then gives both: log per A =
+    log per Q - shift, and A shares Q's marginal matrix Q_ij minor_ij(Q) /
+    per Q.  A zero permanent is decided from the support and gives
+    (-inf, None).
     """
     _check_ryser_limit(matrix.n)
-    mask = np.array(matchable_support(matrix), dtype=bool)
-    if not mask.any(axis=1).all():  # the mask is empty: no perfect matching
+    scaled = prescale(matrix)
+    if scaled is None:
         return float("-inf"), None
-    with np.errstate(divide="ignore"):
-        log_q, shift = prescale(np.where(mask, np.log(matrix.numpy()), -np.inf))
+    _, _, log_q, shift = scaled
     q = np.exp(log_q)
     per_q, minors_q = _glynn(q)
     return math.log(per_q) - shift, q * minors_q / per_q
@@ -296,6 +297,25 @@ def permanent_minors(matrix: NonNegMatrix) -> list[list[Scalar]]:
     return minors
 
 
+def _marginal_pass(matrix: NonNegMatrix) -> tuple[float, list | np.ndarray | None]:
+    """log per(A) and the marginal rows A_ij minor_ij / per(A), from one pass.
+
+    Float input takes both from the Glynn pass.  Exact input takes the
+    minors from one Gray-code walk and per(A) = sum_j A_0j minor_0j from
+    them, so the marginals are exact.  A zero permanent gives (-inf, None).
+    """
+    if not matrix.is_exact:
+        return _float_pass(matrix)
+    minors = permanent_minors(matrix)
+    rows = matrix.entries
+    # a Fraction total keeps int/int divisions exact
+    total = Fraction(sum(a * m for a, m in zip(rows[0], minors[0])))
+    if total == 0:
+        return float("-inf"), None
+    return log_scalar(total), [[a * m / total for a, m in zip(row, minor)]
+                               for row, minor in zip(rows, minors)]
+
+
 def marginals(matrix: NonNegMatrix, tol: float = DEFAULT_DS_TOL) -> DoublyStochMatrix:
     """Marginal matrix P[i][j] = Pr[(i, j) is selected] under the weight
     distribution, A[i][j] * per(minor ij) / per(A).
@@ -305,18 +325,7 @@ def marginals(matrix: NonNegMatrix, tol: float = DEFAULT_DS_TOL) -> DoublyStochM
     every entry that lies on no perfect matching.  The result is validated
     doubly stochastic.
     """
-    if not matrix.is_exact:
-        weights = _float_pass(matrix)[1]
-        if weights is None:
-            raise ZeroPermanentError("permanent is zero: marginals are undefined")
-        return validate_doubly_stochastic(weights, tol=tol)
-    total = per_ryser(matrix)
-    if total == 0:
+    weights = _marginal_pass(matrix)[1]
+    if weights is None:
         raise ZeroPermanentError("permanent is zero: marginals are undefined")
-    total = Fraction(total)  # keep int/int divisions exact
-    minors = permanent_minors(matrix)
-    n = matrix.n
-    rows = []
-    for i in range(n):
-        rows.append(tuple(matrix.entries[i][j] * minors[i][j] / total for j in range(n)))
-    return validate_doubly_stochastic(rows, tol=tol)
+    return validate_doubly_stochastic(weights, tol=tol)

@@ -26,8 +26,8 @@ from betheperm import (
     validate_doubly_stochastic,
 )
 from betheperm import bethe, permanents
-from tests.test_matrices import identity_matrix
-from tests.test_permanents import as_float, dyadic_rows
+from tests.test_matrices import identity_matrix, random_rational_matrix
+from tests.test_permanents import DYADIC_BITS, as_float, dyadic_rows
 
 LOG2 = math.log(2.0)
 
@@ -468,11 +468,39 @@ class TestBoundReport:
             return float_pass(matrix)
 
         monkeypatch.setattr(permanents, "_float_pass", counting)
-        monkeypatch.setattr(bethe, "_float_pass", counting)
         report = bound_report(a)
         assert len(passes) == 1
         assert report.log_per == expected_per
         assert report.log_beta_marginals == expected_marg
+
+    def test_exact_input_takes_one_minors_walk(self, monkeypatch):
+        a = random_rational_matrix(np.random.default_rng(73), 6)
+        per = per_ryser(a)
+        minors = permanents.permanent_minors(a)
+        expected = tuple(tuple(Fraction(a.entries[i][j]) * minors[i][j] / per
+                               for j in range(6)) for i in range(6))
+        expected_per = math.log(per.numerator) - math.log(per.denominator)
+        calls = []
+
+        def counting(name):
+            original = getattr(permanents, name)
+
+            def call(matrix):
+                calls.append(name)
+                return original(matrix)
+            return call
+
+        for name in ("per_ryser", "permanent_minors"):
+            monkeypatch.setattr(permanents, name, counting(name))
+        weights = marginals(a)
+        assert calls == ["permanent_minors"]
+        assert weights.entries == expected
+        assert all(isinstance(x, Fraction) for row in weights.entries for x in row)
+        calls.clear()
+        report = bound_report(a)
+        assert calls == ["permanent_minors"]
+        assert report.log_per == expected_per
+        assert report.log_beta_marginals == beta_objective(a, weights)
 
     def test_json_keys(self):
         payload = bound_report(ones(2)).to_json_dict()
@@ -534,3 +562,129 @@ def test_bound_report_on_float_edge_inputs(family, n, seed_name, shift):
     report = bound_report(matrix)
     assert report.all_passed, report.checks
     assert abs(report.log_per - exact) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Diagonal scaling by powers of two
+# ---------------------------------------------------------------------------
+
+def _scaled_input(family, n, k):
+    """The stored ``family`` input of order n, every entry scaled by 2^k."""
+    rows, scale = _stored_input(family, n, f"pool/{family}/{n}/0")
+    return NonNegMatrix(tuple(tuple(math.ldexp(x, k - scale) for x in row)
+                              for row in rows))
+
+
+class TestScaleCovariance:
+    """The ascent runs on the same prescaled matrix at every scale of A, so
+    it takes the same steps, and its value moves by exactly the log of the
+    scale factor."""
+
+    @pytest.mark.parametrize("n, gamma", [(12, -1.0), (30, -0.5)])
+    def test_uniform_input_at_every_scale(self, n, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = optimize(_scaled_input("uniform", n, 0), gamma)
+            assert base.converged
+            for k in (100, -100, 300, -300):
+                result = optimize(_scaled_input("uniform", n, k), gamma)
+                assert result.converged
+                assert result.iterations == base.iterations, k
+                assert abs(result.log_value - n * k * LOG2 - base.log_value) <= (
+                    result.gradient_residual + 1e-12), k
+
+    def test_sparse_input_far_below_one_is_silent(self):
+        base = optimize(_scaled_input("sparse_diag", 10, 0), -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = optimize(_scaled_input("sparse_diag", 10, -300), -1.0)
+        assert result.converged
+        assert abs(result.log_value + 3000 * LOG2 - base.log_value) <= (
+            result.gradient_residual + 1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_covariant_under_row_and_column_scaling(self, data):
+        rows = data.draw(dyadic_rows(max_n=10))
+        n = len(rows)
+        exponents = st.lists(st.integers(-100, 100), min_size=n, max_size=n)
+        rk, ck = data.draw(exponents), data.draw(exponents)
+        shift = (sum(rk) + sum(ck)) * LOG2
+        for gamma in (-1.0, -0.5):
+            base = optimize(as_float(rows), gamma)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled = optimize(as_float(rows, rk, ck), gamma)
+            if base.log_value == float("-inf"):
+                assert scaled.log_value == base.log_value
+                continue
+            assert base.converged and scaled.converged
+            assert abs(scaled.log_value - shift - base.log_value) <= (
+                base.gradient_residual + scaled.gradient_residual + 1e-12)
+
+
+class TestBoundReportProperties:
+    """``log_per``, ``log_bethe`` and ``log_bp_half`` are invariant under
+    row and column permutations and transposition, and covariant under
+    diagonal scaling, within each optimizer's residual."""
+
+    KEYS = ("log_per", "log_bethe", "log_bp_half")
+
+    @staticmethod
+    def report(matrix):
+        """The report and, per key, how far its value may sit below the
+        true one: the residuals of the two maximizations it runs."""
+        gaps = {"log_per": 0.0,
+                "log_bethe": optimize(matrix, -1.0).gradient_residual,
+                "log_bp_half": optimize(matrix, -0.5).gradient_residual}
+        return bound_report(matrix), gaps
+
+    def assert_close(self, base, other, shift=0.0):
+        (report, gaps), (other_report, other_gaps) = base, other
+        for key in self.KEYS:
+            value = getattr(other_report, key)
+            # the log of a scaled entry carries a rounding error relative to
+            # its size
+            slack = max(1e-12, 2e-15 * abs(value))
+            assert abs(value - shift - getattr(report, key)) <= (
+                gaps[key] + other_gaps[key] + slack), key
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.data())
+    def test_invariant_under_permutation_and_transpose(self, data):
+        rows = data.draw(dyadic_rows(max_n=8))
+        if per_ryser(NonNegMatrix(rows)) == 0:
+            return
+        n = len(rows)
+        p = data.draw(st.permutations(range(n)))
+        q = data.draw(st.permutations(range(n)))
+        permuted = [[rows[p[i]][q[j]] for j in range(n)] for i in range(n)]
+        transposed = [list(col) for col in zip(*rows)]
+        base = self.report(as_float(rows))
+        for variant in (permuted, transposed):
+            self.assert_close(base, self.report(as_float(variant)))
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.data())
+    def test_covariant_under_row_and_column_scaling(self, data):
+        rows = data.draw(dyadic_rows(max_n=8))
+        if per_ryser(NonNegMatrix(rows)) == 0:
+            return
+        n = len(rows)
+        exponents = st.lists(st.integers(-100, 100), min_size=n, max_size=n)
+        rk, ck = data.draw(exponents), data.draw(exponents)
+        self.assert_close(self.report(as_float(rows)),
+                          self.report(as_float(rows, rk, ck)),
+                          shift=(sum(rk) + sum(ck)) * LOG2)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(dyadic_rows(max_n=8))
+    def test_exact_and_float_entries_agree(self, rows):
+        if per_ryser(NonNegMatrix(rows)) == 0:
+            return
+        exact = bound_report(NonNegMatrix(tuple(
+            tuple(Fraction(x, 2 ** DYADIC_BITS) for x in row) for row in rows)))
+        approx = bound_report(as_float(rows))
+        for key in self.KEYS:
+            assert abs(getattr(exact, key) - getattr(approx, key)) <= 1e-12, key
+        assert exact.checks == approx.checks

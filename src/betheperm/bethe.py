@@ -10,10 +10,12 @@ value at gamma = -1; it is concave on the Birkhoff polytope for gamma in
 moves the objective by the constant sum log r + sum log c, so every input,
 exact or float, is maximized on Q from ``matrices.prescale``, whose row and
 column sums are near 1: the steps do not depend on the scale of A.
-Maximization uses entropic mirror ascent with backtracking: each
-multiplicative gradient step is re-projected onto the polytope by diagonal
-scaling, two Sinkhorn sweeps and then Newton steps on the scaling dual,
-each an n x n solve.  The optimality residual is a linear-assignment
+Maximization uses entropic mirror ascent with backtracking on log P: each
+multiplicative gradient step, a sum in logs, is re-projected onto the
+polytope by diagonal scaling, its row and column log-scalers set by at most
+two Sinkhorn sweeps and then refined by Newton steps on the scaling dual,
+each an n x n solve.  ``bound_report`` prescales once for its permanent
+pass and both maximizations.  The optimality residual is a linear-assignment
 first-order gap: for a concave objective the gap upper-bounds the distance
 to the optimum value.
 """
@@ -31,7 +33,6 @@ from .matrices import (
     ZeroPermanentError,
     _log_entries,
     prescale,
-    sinkhorn_sweep,
     validate_doubly_stochastic,
 )
 from .permanents import _marginal_pass
@@ -132,19 +133,21 @@ def _fw_gap(g: np.ndarray, p: np.ndarray, face: np.ndarray) -> float:
     return max(best - current, 0.0)
 
 
-def _project_birkhoff(p: np.ndarray, tol: float = 1e-12,
-                      max_sweeps: int = 2,
-                      max_newton: int = 100) -> np.ndarray | None:
-    """Diagonal scaling of ``p`` onto the Birkhoff polytope; None on collapse.
+def _project_birkhoff(log_p: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Diagonal scaling S = exp(log_p + u_i + v_j) onto the Birkhoff
+    polytope, returned as (S, log S); None on collapse.  -inf in ``log_p``
+    marks a zero entry.
 
-    Up to two Sinkhorn sweeps absorb the overall scale of ``p``.  Sweeps
-    alone stall when entries approach zero (the contraction factor tends to
-    one near the polytope boundary), so the row and column log-scalers u, v
-    are then found by damped Newton on the scaling dual
-    sum_ij q_ij exp(u_i + v_j) - sum u - sum v, whose convergence does not
-    degrade there.  With S the scaled matrix, r and c its row and column
-    sums, g_r = r - 1 and g_c = c - 1, each step eliminates the row scalers
-    and solves the n x n Schur complement
+    Up to two Sinkhorn sweeps absorb the overall scale: each divides S by
+    its row and then its column sums and subtracts their logs from the
+    log-scalers u and v.  Sweeps alone stall when entries approach zero
+    (the contraction factor tends to one near the polytope boundary), so
+    damped Newton on the scaling dual sum_ij exp(log_p_ij + u_i + v_j) -
+    sum u - sum v, whose convergence does not degrade there, continues from
+    the same u, v until rows and columns sum to 1 within 1e-12.  With r and
+    c the row and column sums of S, g_r = r - 1 and g_c = c - 1, each step
+    eliminates the row scalers and solves the n x n Schur complement
 
         (diag(c) - S^T diag(1/r) S) dv = S^T (g_r / r) - g_c,
         du = -(g_r + S dv) / r.
@@ -153,30 +156,32 @@ def _project_birkhoff(p: np.ndarray, tol: float = 1e-12,
     matrix's null space and the right side is orthogonal to it; a 1e-14
     ridge fixes the gauge, which cancels in u_i + v_j anyway.
     """
-    q = p.copy()
-    for _ in range(max_sweeps):
-        if sinkhorn_sweep(q) is None:
-            return None
-        dev = np.abs(q.sum(axis=1) - 1.0).max()
-        if dev <= tol:
-            return q
+    n = log_p.shape[0]
+    u = np.zeros((n, 1))
+    v = np.zeros((1, n))
+    s = np.exp(log_p)
 
-    n = q.shape[0]
-    with np.errstate(divide="ignore"):
-        log_q = np.log(q)  # -inf marks structural zeros
-    u = np.zeros(n)
-    v = np.zeros(n)
+    def scaled() -> tuple[np.ndarray, np.ndarray]:
+        return s, log_p + u + v
 
-    def scaled(u_: np.ndarray, v_: np.ndarray) -> np.ndarray:
-        return np.exp(log_q + u_[:, None] + v_[None, :])
+    for _ in range(2):
+        for axis, scaler in ((1, u), (0, v)):
+            total = s.sum(axis=axis, keepdims=True)
+            if not np.all(total > 0.0):
+                return None
+            s /= total
+            scaler -= np.log(total)
+        r = s.sum(axis=1)
+        if np.abs(r - 1.0).max() <= 1e-12:
+            return scaled()
 
-    s, r, c = q, q.sum(axis=1), q.sum(axis=0)
+    c = s.sum(axis=0)
     diagonal = np.diag_indices(n)
-    for _ in range(max_newton):
+    for _ in range(100):
         g = np.concatenate([r - 1.0, c - 1.0])
         err = np.abs(g).max()
-        if err <= tol:
-            return s
+        if err <= 1e-12:
+            return scaled()
         w = s / r[:, None]  # diag(1/r) S
         schur = -(s.T @ w)
         schur[diagonal] += c + 1e-14  # diag(c), plus the gauge ridge
@@ -188,12 +193,12 @@ def _project_birkhoff(p: np.ndarray, tol: float = 1e-12,
         step = 1.0
         norm = np.linalg.norm(g)
         while step >= 1e-8:
-            u_try = u + step * du
+            u_try = u + step * du[:, None]
             v_try = v + step * dv
             # a step through a nearly disconnected support can overflow;
             # its infinite residual fails the test and halves the step
             with np.errstate(over="ignore"):
-                s_try = scaled(u_try, v_try)
+                s_try = np.exp(log_p + u_try + v_try)
                 r_try, c_try = s_try.sum(axis=1), s_try.sum(axis=0)
                 g_try = np.concatenate([r_try - 1.0, c_try - 1.0])
                 accept = np.linalg.norm(g_try) <= (1.0 - 0.25 * step) * norm
@@ -202,8 +207,8 @@ def _project_birkhoff(p: np.ndarray, tol: float = 1e-12,
                 break
             step *= 0.5
         else:
-            return s if err <= 1e-9 else None
-    return s if np.abs(r - 1.0).max() <= 1e-9 else None
+            return scaled() if err <= 1e-9 else None
+    return scaled() if np.abs(r - 1.0).max() <= 1e-9 else None
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +248,24 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
 
     A non-converged run returns its best iterate flagged ``converged=False``.
     """
-    gamma = _check_gamma(gamma)
+    return _ascend(prescale(matrix), _check_gamma(gamma), tol, max_iter,
+                   record_history)
+
+
+def _ascend(prepared, gamma: float, tol: float, max_iter: int,
+            record_history: bool) -> BetheResult:
+    """``optimize`` on ``prepared = prescale(A)``.  The iterate is carried
+    as P and log P; each trial, log P + eta * (the gradient less its row
+    maximum) on the face, is at most log P entrywise, so nothing overflows.
+    """
     tol = float(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    n = matrix.n
-
-    scaled = prescale(matrix)
-    if scaled is None:
+    if prepared is None:
         history = (float("-inf"),) if record_history else None
         return BetheResult(None, float("-inf"), 0, True, 0.0, gamma, history)
-    face, log_a, log_q, shift = scaled
+    face, log_a, log_q, shift = prepared
+    n = face.shape[0]
 
     if bool((face.sum(axis=1) == 1).all()):
         # the face is a single permutation matrix; nothing to optimize
@@ -265,9 +277,10 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
         return BetheResult(validate_doubly_stochastic(p), value, 0, True, 0.0,
                            gamma, history)
 
-    p = _project_birkhoff(np.exp(log_q))
-    if p is None:  # cannot happen on a matchable face; defensive
+    projected = _project_birkhoff(log_q)
+    if projected is None:  # cannot happen on a matchable face; defensive
         raise RuntimeError("initial Sinkhorn projection lost a row or column")
+    p, log_p = projected
 
     value = _objective_np(log_q, p, gamma)
     history = [value] if record_history else None
@@ -284,16 +297,14 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
             converged = True
             break
 
+        # g is 0 off the face, where log P stays -inf
         centered = g - np.where(face, g, -np.inf).max(axis=1, keepdims=True)
-        spread = float(-centered[face].min())
         accepted = False
         scale = max(1.0, abs(value))
         while eta >= 1e-18:
-            step_eta = min(eta, 690.0 / max(1.0, spread))  # keep exp() in range
-            trial = np.where(face, np.maximum(p, 1e-280) * np.exp(step_eta * centered), 0.0)
-            trial = _project_birkhoff(trial)
+            trial = _project_birkhoff(log_p + eta * centered)
             if trial is not None:
-                trial_value = _objective_np(log_q, trial, gamma)
+                trial_value = _objective_np(log_q, trial[0], gamma)
                 if trial_value >= value - 1e-13 * scale:
                     if trial_value > value + 1e-12 * scale:
                         # grow the step only on genuine progress; near the
@@ -301,7 +312,7 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
                         # multiplicative map contracting instead of letting
                         # the iterate wander at the float noise floor
                         eta = min(eta * 1.25, 1e3)
-                    p = trial
+                    p, log_p = trial
                     value = trial_value
                     if history is not None:
                         history.append(value)
@@ -372,12 +383,13 @@ def bound_report(matrix: NonNegMatrix, tol: float = TOL_OPT_DEFAULT,
       of the Bethe value.
     """
     n = matrix.n
-    log_per, weights = _marginal_pass(matrix)
+    prepared = prescale(matrix)
+    log_per, weights = _marginal_pass(matrix, prepared)
     if weights is None:
         raise ZeroPermanentError("permanent is zero: bound report undefined")
     marg = validate_doubly_stochastic(weights)
-    bethe = optimize(matrix, -1.0, tol=tol, max_iter=max_iter)
-    bp_half = optimize(matrix, -0.5, tol=tol, max_iter=max_iter)
+    bethe = _ascend(prepared, -1.0, tol, max_iter, False)
+    bp_half = _ascend(prepared, -0.5, tol, max_iter, False)
     log_beta_marg = beta_objective(matrix, marg)
 
     slack = 1e-9

@@ -95,9 +95,11 @@ def _cmd_per(args) -> int:
 def _cmd_optimize(args, gamma: float) -> int:
     matrix = _load(args.matrix, args.mode == "rational")
     result = optimize(matrix, gamma, tol=args.tol, max_iter=args.max_iter)
+    with np.errstate(over="ignore"):  # a value past the float range prints "inf"
+        value = np.exp(result.log_value)
     print(json.dumps({
         "log_value": _json_value(result.log_value),
-        "value": _json_value(np.exp(result.log_value)),
+        "value": _json_value(value),
         "iterations": result.iterations,
         "converged": result.converged,
         "gradient_residual": _json_value(result.gradient_residual),

@@ -154,7 +154,7 @@ def validate_doubly_stochastic(matrix, tol: float = DEFAULT_DS_TOL) -> DoublySto
         q = matrix.astype(float)
         rows = tuple(map(tuple, q.tolist()))
         if q.ndim == 2 and q.shape[0] == q.shape[1] > 0 and not (
-                (q < 0).any() or (q > 1 + tol).any()
+                (q < 0).any()
                 or (np.abs(np.cumsum(q, axis=1)[:, -1] - 1) > tol).any()
                 or (np.abs(np.cumsum(q, axis=0)[-1] - 1) > tol).any()):
             return DoublyStochMatrix(rows)
@@ -288,32 +288,6 @@ _PRESCALE_TOL = 0.1
 _PRESCALE_MAX_SWEEPS = 1000
 
 
-def sinkhorn_sweep(q: np.ndarray, log: bool = False
-                   ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Normalize the rows of ``q`` and then its columns, in place.
-
-    With ``log`` true, ``q`` holds natural logs (-inf for a zero entry) and
-    each sum is a log-sum-exp, which holds any scale of entries.  Returns
-    the row and column sums divided out (their logs, subtracted, when
-    ``log``), as keepdims arrays, or None when a row or column sums to zero.
-    """
-    sums = []
-    for axis in (1, 0):
-        if log:
-            peak = q.max(axis=axis, keepdims=True)
-            if not np.all(peak > -np.inf):
-                return None
-            total = peak + np.log(np.exp(q - peak).sum(axis=axis, keepdims=True))
-            q -= total
-        else:
-            total = q.sum(axis=axis, keepdims=True)
-            if not np.all(total > 0.0):
-                return None
-            q /= total
-        sums.append(total)
-    return sums[0], sums[1]
-
-
 def _log_entries(matrix: NonNegMatrix) -> np.ndarray:
     """log A entrywise, -inf at zero entries.  Exact entries outside the
     float range, such as 10**400, still get their finite logs."""
@@ -328,13 +302,15 @@ def prescale(matrix: NonNegMatrix
     """The face of A, log A, and A scaled until its row and column sums
     are near 1; None when A has no perfect matching.
 
-    The face is the ``matchable_support`` mask.  Log-domain Sinkhorn sweeps
-    on log A restricted to the face give log Q and shift = sum log r +
-    sum log c, for Q = diag(r) A diag(c), so no entry of Q leaves the float
-    range whatever the scale of A.  The scaling is exact for any r and c,
-    so the sweeps need not converge: per Q = exp(shift) per A, Q has the
-    marginal matrix of A, and on a doubly stochastic P the objectives of
-    ``bethe`` at Q exceed those at A by shift.  Returns (face, log A,
+    The face is the ``matchable_support`` mask.  Sinkhorn sweeps on log A
+    restricted to the face, each sum a log-sum-exp, give log Q and shift =
+    sum log r + sum log c, for Q = diag(r) A diag(c), so no entry of Q
+    leaves the float range whatever the scale of A.  The scaling is exact
+    for any r and c: per Q = exp(shift) per A, Q has the marginal matrix
+    of A, and on a doubly stochastic P the objectives of ``bethe`` at Q
+    exceed those at A by shift.  The sweeps still run until balanced: the
+    Birkhoff projection of ``bethe`` sweeps Q at most twice, and its Newton
+    steps can stall on a badly scaled sparse face.  Returns (face, log A,
     log Q, shift); log Q is -inf off the face.
     """
     face = np.array(matchable_support(matrix), dtype=bool)
@@ -344,7 +320,13 @@ def prescale(matrix: NonNegMatrix
     log_q = np.where(face, log_a, -np.inf)
     shift = 0.0
     for _ in range(_PRESCALE_MAX_SWEEPS):
-        row, col = sinkhorn_sweep(log_q, log=True)
+        sums = []
+        for axis in (1, 0):  # rows, then columns
+            peak = log_q.max(axis=axis, keepdims=True)
+            total = peak + np.log(np.exp(log_q - peak).sum(axis=axis, keepdims=True))
+            log_q -= total
+            sums.append(total)
+        row, col = sums
         shift -= float(row.sum() + col.sum())
         if np.abs(row).max() <= _PRESCALE_TOL:
             break

@@ -124,7 +124,7 @@ def per_ryser(matrix: NonNegMatrix) -> Scalar:
     """
     if not matrix.is_exact:
         with np.errstate(over="ignore"):
-            return float(np.exp(_float_pass(matrix)[0]))
+            return float(np.exp(_marginal_pass(matrix, prescale(matrix))[0]))
     n = matrix.n
     _check_ryser_limit(n)
     total = 0
@@ -198,21 +198,20 @@ def _glynn(q: np.ndarray) -> tuple[float, np.ndarray]:
     return float(total) * scale, minors * scale
 
 
-def _float_pass(matrix: NonNegMatrix) -> tuple[float, np.ndarray | None]:
-    """log per(A) and the marginal matrix of float input.
+def _float_pass(prepared) -> tuple[float, np.ndarray | None]:
+    """log per(A) and the marginal matrix of float input, from
+    ``prepared = prescale(A)``.
 
     ``prescale`` sets the entries on no perfect matching to 0 (they are on
     no permutation of nonzero weight) and scales the rest to Q =
     diag(r) A diag(c).  One Glynn pass on Q then gives both: log per A =
     log per Q - shift, and A shares Q's marginal matrix Q_ij minor_ij(Q) /
-    per Q.  A zero permanent is decided from the support and gives
-    (-inf, None).
+    per Q.  A zero permanent is decided from the support (``prepared`` is
+    None) and gives (-inf, None).
     """
-    _check_ryser_limit(matrix.n)
-    scaled = prescale(matrix)
-    if scaled is None:
+    if prepared is None:
         return float("-inf"), None
-    _, _, log_q, shift = scaled
+    _, _, log_q, shift = prepared
     q = np.exp(log_q)
     per_q, minors_q = _glynn(q)
     return math.log(per_q) - shift, q * minors_q / per_q
@@ -226,7 +225,7 @@ def log_permanent(matrix: NonNegMatrix) -> float:
     """
     if matrix.is_exact:
         return log_scalar(per_ryser(matrix))
-    return _float_pass(matrix)[0]
+    return _marginal_pass(matrix, prescale(matrix))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +296,18 @@ def permanent_minors(matrix: NonNegMatrix) -> list[list[Scalar]]:
     return minors
 
 
-def _marginal_pass(matrix: NonNegMatrix) -> tuple[float, list | np.ndarray | None]:
+def _marginal_pass(matrix: NonNegMatrix, prepared
+                   ) -> tuple[float, list | np.ndarray | None]:
     """log per(A) and the marginal rows A_ij minor_ij / per(A), from one pass.
 
-    Float input takes both from the Glynn pass.  Exact input takes the
-    minors from one Gray-code walk and per(A) = sum_j A_0j minor_0j from
+    Float input takes both from the Glynn pass on ``prepared``, which is
+    ``prescale(matrix)``.  Exact input does not read ``prepared``: it takes
+    the minors from one Gray-code walk and per(A) = sum_j A_0j minor_0j from
     them, so the marginals are exact.  A zero permanent gives (-inf, None).
     """
+    _check_ryser_limit(matrix.n)
     if not matrix.is_exact:
-        return _float_pass(matrix)
+        return _float_pass(prepared)
     minors = permanent_minors(matrix)
     rows = matrix.entries
     # a Fraction total keeps int/int divisions exact
@@ -325,7 +327,7 @@ def marginals(matrix: NonNegMatrix, tol: float = DEFAULT_DS_TOL) -> DoublyStochM
     every entry that lies on no perfect matching.  The result is validated
     doubly stochastic.
     """
-    weights = _marginal_pass(matrix)[1]
+    weights = _marginal_pass(matrix, None if matrix.is_exact else prescale(matrix))[1]
     if weights is None:
         raise ZeroPermanentError("permanent is zero: marginals are undefined")
     return validate_doubly_stochastic(weights, tol=tol)

@@ -25,7 +25,7 @@ from betheperm import (
     per_ryser,
     validate_doubly_stochastic,
 )
-from betheperm import bethe, permanents
+from betheperm import bethe, matrices, permanents
 from tests.test_matrices import identity_matrix, random_rational_matrix
 from tests.test_permanents import DYADIC_BITS, as_float, dyadic_rows
 
@@ -254,15 +254,15 @@ class TestOptimize:
         validate_doubly_stochastic(result.optimizer_P, tol=1e-9)
 
 
-def _scaling_fit_error(q, s):
+def _scaling_fit_error(log_q, log_s):
     """Largest misfit of log s - log q to u_i + v_j on the support of q,
     for the least-squares u and v."""
-    n = q.shape[0]
-    rows, cols = np.nonzero(q > 0)
+    n = log_q.shape[0]
+    rows, cols = np.nonzero(np.isfinite(log_q))
     incidence = np.zeros((len(rows), 2 * n))
     incidence[np.arange(len(rows)), rows] = 1.0
     incidence[np.arange(len(rows)), n + cols] = 1.0
-    d = np.log(s[rows, cols]) - np.log(q[rows, cols])
+    d = log_s[rows, cols] - log_q[rows, cols]
     uv = np.linalg.lstsq(incidence, d, rcond=None)[0]
     return float(np.abs(incidence @ uv - d).max())
 
@@ -281,13 +281,17 @@ def _sparse_face_input(rng, n):
 
 class TestProjection:
     def check(self, q):
-        for scale in (1.0, 2.0 ** 100, 2.0 ** -100):
-            s = bethe._project_birkhoff(q * scale)
-            assert s is not None
+        with np.errstate(divide="ignore"):
+            log_q = np.log(q)
+        for shift in (0.0, 100 * LOG2, -100 * LOG2):
+            s, log_s = bethe._project_birkhoff(log_q + shift)
             assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(s.sum(axis=0) - 1.0).max() <= 1e-12
             assert ((s > 0) == (q > 0)).all()
-            assert _scaling_fit_error(q, s) <= 1e-9
+            assert (np.isfinite(log_s) == (q > 0)).all()
+            assert _scaling_fit_error(log_q, log_s) <= 1e-9
+            normal = s >= 1e-300  # subnormals keep too few bits to compare
+            assert np.abs(np.exp(log_s[normal]) / s[normal] - 1.0).max() <= 1e-12
 
     def test_dense_positive(self):
         rng = np.random.default_rng(59)
@@ -304,9 +308,9 @@ class TestProjection:
         assert smallest < 1e-280
 
     def test_zero_row_collapses(self):
-        q = np.random.default_rng(67).uniform(0.05, 1.0, (5, 5))
-        q[2] = 0.0
-        assert bethe._project_birkhoff(q) is None
+        log_q = np.log(np.random.default_rng(67).uniform(0.05, 1.0, (5, 5)))
+        log_q[2] = -np.inf
+        assert bethe._project_birkhoff(log_q) is None
 
 
 class TestProperties:
@@ -463,9 +467,9 @@ class TestBoundReport:
         passes = []
         float_pass = permanents._float_pass
 
-        def counting(matrix):
-            passes.append(matrix)
-            return float_pass(matrix)
+        def counting(prepared):
+            passes.append(prepared)
+            return float_pass(prepared)
 
         monkeypatch.setattr(permanents, "_float_pass", counting)
         report = bound_report(a)
@@ -501,6 +505,23 @@ class TestBoundReport:
         assert calls == ["permanent_minors"]
         assert report.log_per == expected_per
         assert report.log_beta_marginals == beta_objective(a, weights)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_prescale_per_report(self, monkeypatch, exact):
+        rng = np.random.default_rng(79)
+        a = random_rational_matrix(rng, 6) if exact else random_positive_matrix(rng, 6)
+        expected = bound_report(a)
+        calls = []
+        original = matrices.prescale
+
+        def counting(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        for module in (matrices, permanents, bethe):
+            monkeypatch.setattr(module, "prescale", counting)
+        assert bound_report(a) == expected
+        assert calls == [a]
 
     def test_json_keys(self):
         payload = bound_report(ones(2)).to_json_dict()

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import betheperm
 from betheperm import parse_matrix_json
 from betheperm.cli import main
 
@@ -99,6 +104,20 @@ class TestOptimizeCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["log_value"] == "-inf"
+
+    def test_value_past_the_float_range_prints_no_warning(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1e300,1e300\n1e300,1e300\n")
+        src = str(Path(betheperm.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "betheperm.cli", "bethe", str(path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout == (
+            '{"converged": true, "gradient_residual": 0.0, "iterations": 1, '
+            '"log_value": 1381.55105579643, "value": "inf"}\n')
+        assert done.stderr == ""
 
 
 class TestMarginals:

@@ -8,16 +8,16 @@ which interpolates from the mean-field value at gamma = 1 down to the Bethe
 value at gamma = -1; it is concave on the Birkhoff polytope for gamma in
 [-1, 1].  On doubly stochastic P, diagonal scaling Q = diag(r) A diag(c)
 moves the objective by the constant sum log r + sum log c, so every input,
-exact or float, is maximized on Q from ``matrices.prescale``, whose row and
-column sums are near 1: the steps do not depend on the scale of A.
-Maximization uses entropic mirror ascent with backtracking on log P: each
-multiplicative gradient step, a sum in logs, is re-projected onto the
-polytope by diagonal scaling, its row and column log-scalers set by at most
-two Sinkhorn sweeps and then refined by Newton steps on the scaling dual,
-each an n x n solve.  ``bound_report`` prescales once for its permanent
-pass and both maximizations.  The optimality residual is a linear-assignment
-first-order gap: for a concave objective the gap upper-bounds the distance
-to the optimum value.
+exact or float, is maximized on the doubly stochastic Q from
+``matrices.prescale``: the steps do not depend on the scale of A.
+Maximization uses entropic mirror ascent with backtracking on log P,
+starting at Q: each multiplicative gradient step, a sum in logs, is
+re-projected onto the polytope by ``matrices._project_birkhoff``, the same
+diagonal scaler that gave Q (Sinkhorn sweeps, then Newton steps on the
+scaling dual, each an n x n solve).  ``bound_report`` prescales once for
+its permanent pass and both maximizations.  The optimality residual is a
+linear-assignment first-order gap: for a concave objective the gap
+upper-bounds the distance to the optimum value.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .matrices import (
     NonNegMatrix,
     ZeroPermanentError,
     _log_entries,
+    _project_birkhoff,
     prescale,
     validate_doubly_stochastic,
 )
@@ -133,84 +134,6 @@ def _fw_gap(g: np.ndarray, p: np.ndarray, face: np.ndarray) -> float:
     return max(best - current, 0.0)
 
 
-def _project_birkhoff(log_p: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Diagonal scaling S = exp(log_p + u_i + v_j) onto the Birkhoff
-    polytope, returned as (S, log S); None on collapse.  -inf in ``log_p``
-    marks a zero entry.
-
-    Up to two Sinkhorn sweeps absorb the overall scale: each divides S by
-    its row and then its column sums and subtracts their logs from the
-    log-scalers u and v.  Sweeps alone stall when entries approach zero
-    (the contraction factor tends to one near the polytope boundary), so
-    damped Newton on the scaling dual sum_ij exp(log_p_ij + u_i + v_j) -
-    sum u - sum v, whose convergence does not degrade there, continues from
-    the same u, v until rows and columns sum to 1 within 1e-12.  With r and
-    c the row and column sums of S, g_r = r - 1 and g_c = c - 1, each step
-    eliminates the row scalers and solves the n x n Schur complement
-
-        (diag(c) - S^T diag(1/r) S) dv = S^T (g_r / r) - g_c,
-        du = -(g_r + S dv) / r.
-
-    The ones vector of each connected block of the support spans that
-    matrix's null space and the right side is orthogonal to it; a 1e-14
-    ridge fixes the gauge, which cancels in u_i + v_j anyway.
-    """
-    n = log_p.shape[0]
-    u = np.zeros((n, 1))
-    v = np.zeros((1, n))
-    s = np.exp(log_p)
-
-    def scaled() -> tuple[np.ndarray, np.ndarray]:
-        return s, log_p + u + v
-
-    for _ in range(2):
-        for axis, scaler in ((1, u), (0, v)):
-            total = s.sum(axis=axis, keepdims=True)
-            if not np.all(total > 0.0):
-                return None
-            s /= total
-            scaler -= np.log(total)
-        r = s.sum(axis=1)
-        if np.abs(r - 1.0).max() <= 1e-12:
-            return scaled()
-
-    c = s.sum(axis=0)
-    diagonal = np.diag_indices(n)
-    for _ in range(100):
-        g = np.concatenate([r - 1.0, c - 1.0])
-        err = np.abs(g).max()
-        if err <= 1e-12:
-            return scaled()
-        w = s / r[:, None]  # diag(1/r) S
-        schur = -(s.T @ w)
-        schur[diagonal] += c + 1e-14  # diag(c), plus the gauge ridge
-        try:
-            dv = np.linalg.solve(schur, w.T @ g[:n] - g[n:])
-        except np.linalg.LinAlgError:
-            return None
-        du = -(g[:n] + s @ dv) / r
-        step = 1.0
-        norm = np.linalg.norm(g)
-        while step >= 1e-8:
-            u_try = u + step * du[:, None]
-            v_try = v + step * dv
-            # a step through a nearly disconnected support can overflow;
-            # its infinite residual fails the test and halves the step
-            with np.errstate(over="ignore"):
-                s_try = np.exp(log_p + u_try + v_try)
-                r_try, c_try = s_try.sum(axis=1), s_try.sum(axis=0)
-                g_try = np.concatenate([r_try - 1.0, c_try - 1.0])
-                accept = np.linalg.norm(g_try) <= (1.0 - 0.25 * step) * norm
-            if accept:
-                u, v, s, r, c = u_try, v_try, s_try, r_try, c_try
-                break
-            step *= 0.5
-        else:
-            return scaled() if err <= 1e-9 else None
-    return scaled() if np.abs(r - 1.0).max() <= 1e-9 else None
-
-
 # ---------------------------------------------------------------------------
 # Maximization
 # ---------------------------------------------------------------------------
@@ -255,8 +178,9 @@ def optimize(matrix: NonNegMatrix, gamma: float = -1.0,
 def _ascend(prepared, gamma: float, tol: float, max_iter: int,
             record_history: bool) -> BetheResult:
     """``optimize`` on ``prepared = prescale(A)``.  The iterate is carried
-    as P and log P; each trial, log P + eta * (the gradient less its row
-    maximum) on the face, is at most log P entrywise, so nothing overflows.
+    as P and log P, starting at Q and log Q; each trial, log P + eta * (the
+    gradient less its row maximum) on the face, is at most log P entrywise,
+    so nothing overflows.
     """
     tol = float(tol)
     if tol <= 0:
@@ -264,7 +188,7 @@ def _ascend(prepared, gamma: float, tol: float, max_iter: int,
     if prepared is None:
         history = (float("-inf"),) if record_history else None
         return BetheResult(None, float("-inf"), 0, True, 0.0, gamma, history)
-    face, log_a, log_q, shift = prepared
+    face, log_a, p, log_q, shift = prepared
     n = face.shape[0]
 
     if bool((face.sum(axis=1) == 1).all()):
@@ -277,11 +201,7 @@ def _ascend(prepared, gamma: float, tol: float, max_iter: int,
         return BetheResult(validate_doubly_stochastic(p), value, 0, True, 0.0,
                            gamma, history)
 
-    projected = _project_birkhoff(log_q)
-    if projected is None:  # cannot happen on a matchable face; defensive
-        raise RuntimeError("initial Sinkhorn projection lost a row or column")
-    p, log_p = projected
-
+    log_p = log_q
     value = _objective_np(log_q, p, gamma)
     history = [value] if record_history else None
     eta = 1.0
@@ -312,7 +232,7 @@ def _ascend(prepared, gamma: float, tol: float, max_iter: int,
                         # multiplicative map contracting instead of letting
                         # the iterate wander at the float noise floor
                         eta = min(eta * 1.25, 1e3)
-                    p, log_p = trial
+                    p, log_p, _ = trial
                     value = trial_value
                     if history is not None:
                         history.append(value)

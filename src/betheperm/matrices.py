@@ -1,4 +1,4 @@
-"""Matrix and vector types, constructions, support analysis, Sinkhorn scaling.
+"""Matrix and vector types, constructions, support analysis, diagonal scaling.
 
 Values are immutable after construction; every operation here is a pure
 function of its inputs.  Matrices carry either float64 entries or exact
@@ -279,13 +279,13 @@ def matchable_support(matrix: NonNegMatrix) -> list[list[bool]]:
 
 
 # ---------------------------------------------------------------------------
-# Sinkhorn scaling
+# Diagonal scaling onto the Birkhoff polytope
 # ---------------------------------------------------------------------------
 
-#: ``prescale`` stops once the rows it normalizes already summed to within
-#: a factor e^0.1 of 1, or after 1000 sweeps.
-_PRESCALE_TOL = 0.1
-_PRESCALE_MAX_SWEEPS = 1000
+#: The scaler's Sinkhorn sweeps stop once the rows they normalize already
+#: summed to within a factor e^0.1 of 1, or after 1000 sweeps.
+_SWEEP_TOL = 0.1
+_MAX_SWEEPS = 1000
 
 
 def _log_entries(matrix: NonNegMatrix) -> np.ndarray:
@@ -297,40 +297,121 @@ def _log_entries(matrix: NonNegMatrix) -> np.ndarray:
         return np.log(matrix.numpy())
 
 
-def prescale(matrix: NonNegMatrix
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
-    """The face of A, log A, and A scaled until its row and column sums
-    are near 1; None when A has no perfect matching.
+def _project_birkhoff(log_p: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Diagonal scaling S = exp(log_p + u_i + v_j) onto the Birkhoff
+    polytope, returned as (S, log S, shift = sum u + sum v); None on
+    collapse.  -inf in ``log_p`` marks a zero entry.
 
-    The face is the ``matchable_support`` mask.  Sinkhorn sweeps on log A
-    restricted to the face, each sum a log-sum-exp, give log Q and shift =
-    sum log r + sum log c, for Q = diag(r) A diag(c), so no entry of Q
-    leaves the float range whatever the scale of A.  The scaling is exact
-    for any r and c: per Q = exp(shift) per A, Q has the marginal matrix
-    of A, and on a doubly stochastic P the objectives of ``bethe`` at Q
-    exceed those at A by shift.  The sweeps still run until balanced: the
-    Birkhoff projection of ``bethe`` sweeps Q at most twice, and its Newton
-    steps can stall on a badly scaled sparse face.  Returns (face, log A,
-    log Q, shift); log Q is -inf off the face.
+    u starts at minus each row's maximum of ``log_p``, and v at minus each
+    column's maximum after that, so every row and every column of S has a
+    largest entry of exactly 1: nothing overflows whatever the scale of
+    ``log_p``, and no row or column sums to 0.  Sinkhorn sweeps then divide
+    S by its row and then its column sums and subtract their logs from u
+    and v, until the rows they normalize already summed to within e^0.1 of
+    1, or 1000 times.  Sweeps alone stall when entries approach zero (the
+    contraction factor tends to one near the polytope boundary), so damped
+    Newton on the scaling dual sum_ij exp(log_p_ij + u_i + v_j) - sum u -
+    sum v, whose convergence does not degrade there, continues from the
+    same u, v until rows and columns sum to 1 within 1e-12.  With r and c the row and
+    column sums of S, g_r = r - 1 and g_c = c - 1, each step eliminates the
+    row scalers and solves the n x n Schur complement
+
+        (diag(c) - S^T diag(1/r) S) dv = S^T (g_r / r) - g_c,
+        du = -(g_r + S dv) / r.
+
+    The ones vector of each connected block of the support spans that
+    matrix's null space and the right side is orthogonal to it; a 1e-14
+    ridge fixes the gauge, which cancels in u_i + v_j anyway.
+    """
+    n = log_p.shape[0]
+    u = -log_p.max(axis=1, keepdims=True)
+    if np.isinf(u).any():  # an empty row
+        return None
+    v = -(log_p + u).max(axis=0, keepdims=True)
+    if np.isinf(v).any():  # an empty column
+        return None
+    s = np.exp(log_p + u + v)
+    # an entry that underflows to 0 here can grow back into the float range
+    # as the sweeps move u and v, and dividing S in place would never see it:
+    # the sweeps would balance a smaller support.  S is then recomputed from
+    # its logs every sweep.
+    refresh = np.count_nonzero(s) < np.count_nonzero(np.isfinite(log_p))
+
+    def scaled() -> tuple[np.ndarray, np.ndarray, float]:
+        return s, log_p + u + v, float(u.sum() + v.sum())
+
+    for _ in range(_MAX_SWEEPS):
+        rows = s.sum(axis=1, keepdims=True)
+        s /= rows
+        cols = s.sum(axis=0, keepdims=True)
+        s /= cols
+        log_rows = np.log(rows)
+        u -= log_rows
+        v -= np.log(cols)
+        if np.abs(log_rows).max() <= _SWEEP_TOL:
+            break
+        if refresh:
+            s = np.exp(log_p + u + v)
+
+    r, c = s.sum(axis=1), s.sum(axis=0)
+    diagonal = np.diag_indices(n)
+    for _ in range(100):
+        g = np.concatenate([r - 1.0, c - 1.0])
+        err = np.abs(g).max()
+        if err <= 1e-12:
+            return scaled()
+        w = s / r[:, None]  # diag(1/r) S
+        schur = -(s.T @ w)
+        schur[diagonal] += c + 1e-14  # diag(c), plus the gauge ridge
+        try:
+            dv = np.linalg.solve(schur, w.T @ g[:n] - g[n:])
+        except np.linalg.LinAlgError:
+            return None
+        du = -(g[:n] + s @ dv) / r
+        step = 1.0
+        norm = np.linalg.norm(g)
+        while step >= 1e-8:
+            u_try = u + step * du[:, None]
+            v_try = v + step * dv
+            # a step through a nearly disconnected support can overflow;
+            # its infinite residual fails the test and halves the step
+            with np.errstate(over="ignore"):
+                s_try = np.exp(log_p + u_try + v_try)
+                r_try, c_try = s_try.sum(axis=1), s_try.sum(axis=0)
+                g_try = np.concatenate([r_try - 1.0, c_try - 1.0])
+                accept = np.linalg.norm(g_try) <= (1.0 - 0.25 * step) * norm
+            if accept:
+                u, v, s, r, c = u_try, v_try, s_try, r_try, c_try
+                break
+            step *= 0.5
+        else:
+            return scaled() if err <= 1e-9 else None
+    return scaled() if np.abs(r - 1.0).max() <= 1e-9 else None
+
+
+def prescale(matrix: NonNegMatrix
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float] | None:
+    """The face of A, log A, and the doubly stochastic scaling Q of A on
+    that face; None when A has no perfect matching.
+
+    The face is the ``matchable_support`` mask.  ``_project_birkhoff`` of
+    log A restricted to the face gives Q = diag(r) A diag(c), its log and
+    shift = sum log r + sum log c, so no entry of Q leaves the float range
+    whatever the scale of A, and Q's rows and columns sum to 1 within
+    1e-12.  The scaling is exact for any r and c: per Q = exp(shift) per A,
+    Q has the marginal matrix of A, and on a doubly stochastic P the
+    objectives of ``bethe`` at Q exceed those at A by shift.  Returns
+    (face, log A, Q, log Q, shift); Q is 0 and log Q -inf off the face.
     """
     face = np.array(matchable_support(matrix), dtype=bool)
     if not face.any(axis=1).all():  # the mask is empty: no perfect matching
         return None
     log_a = _log_entries(matrix)
-    log_q = np.where(face, log_a, -np.inf)
-    shift = 0.0
-    for _ in range(_PRESCALE_MAX_SWEEPS):
-        sums = []
-        for axis in (1, 0):  # rows, then columns
-            peak = log_q.max(axis=axis, keepdims=True)
-            total = peak + np.log(np.exp(log_q - peak).sum(axis=axis, keepdims=True))
-            log_q -= total
-            sums.append(total)
-        row, col = sums
-        shift -= float(row.sum() + col.sum())
-        if np.abs(row).max() <= _PRESCALE_TOL:
-            break
-    return face, log_a, log_q, shift
+    projected = _project_birkhoff(np.where(face, log_a, -np.inf))
+    if projected is None:
+        raise RuntimeError("diagonal scaling of the matchable face did not converge")
+    return (face, log_a) + projected
 
 
 # ---------------------------------------------------------------------------

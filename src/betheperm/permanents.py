@@ -9,10 +9,10 @@ exact.  The marginal matrix takes one walk: the minors, with per(A) =
 sum_j A_0j minor_0j from them.
 
 Float input goes through one numpy pass of Glynn's formula, in blocks of at
-most 2^10 sign vectors, on Q = diag(r) A diag(c) from ``matrices.prescale``,
-the same prescaled matrix the optimizer of ``bethe`` ascends on.  The pass
-gives log per(A) and the marginal matrix together.  Q's row and column sums
-are near 1, so nothing overflows or underflows whatever the scale of A.
+most 2^10 sign vectors, on the doubly stochastic Q = diag(r) A diag(c) from
+``matrices.prescale``, the matrix the optimizer of ``bethe`` starts from.
+The pass gives log per(A) and the marginal matrix together.  Q's rows and
+columns sum to 1, so nothing overflows or underflows whatever the scale of A.
 Measured against exact integer evaluation of dyadic input with n = 6..16,
 log per(A) is within 1.1e-14 (1.2e-13, one unit in the last place, on
 copies scaled by 2^+-100) and marginal rows and columns sum to 1 within
@@ -67,11 +67,6 @@ def validate_permutation(seq: Sequence[int], n: int | None = None) -> Permutatio
 
 def identity_permutation(n: int) -> Permutation:
     return tuple(range(n))
-
-
-def compose(sigma: Permutation, pi: Permutation) -> Permutation:
-    """(sigma o pi)(i) = sigma(pi(i))."""
-    return tuple(sigma[pi[i]] for i in range(len(pi)))
 
 
 def reverse_order(pi: Permutation) -> Permutation:
@@ -211,10 +206,11 @@ def _float_pass(prepared) -> tuple[float, np.ndarray | None]:
     """
     if prepared is None:
         return float("-inf"), None
-    _, _, log_q, shift = prepared
-    q = np.exp(log_q)
+    _, _, q, _, shift = prepared
     per_q, minors_q = _glynn(q)
-    return math.log(per_q) - shift, q * minors_q / per_q
+    # a marginal below the rounding error of Glynn's signed sum can come out
+    # slightly negative; the minors of a nonnegative matrix are not
+    return math.log(per_q) - shift, np.maximum(q * minors_q / per_q, 0.0)
 
 
 def log_permanent(matrix: NonNegMatrix) -> float:

@@ -72,17 +72,20 @@ def _add_prefix_suffix_terms(form: LogForm, values: list[Fraction], factor: int)
             add_log_term(form, running, factor * x)
 
 
-def _prefix_suffix_log_sum(values: list[float]) -> float:
-    """sum_k x_k log(prefix_k) + sum_k x_k log(suffix_k) in floats, with
-    x log x = 0 at zero coordinates."""
-    acc = 0.0
-    for seq in (values, values[::-1]):
-        running = 0.0
-        for x in seq:
-            running += x
-            if x > 0.0:
-                acc += x * math.log(running)
+def _prefix_log_sum(values: list[float], acc: float = 0.0) -> float:
+    """acc + sum_k x_k log(prefix_k) in floats, where prefix_k includes x_k,
+    with x log x = 0 at zero coordinates."""
+    running = 0.0
+    for x in values:
+        running += x
+        if x > 0.0:
+            acc += x * math.log(running)
     return acc
+
+
+def _prefix_suffix_log_sum(values: list[float]) -> float:
+    """sum_k x_k log(prefix_k) + sum_k x_k log(suffix_k) in floats."""
+    return _prefix_log_sum(values[::-1], _prefix_log_sum(values))
 
 
 def phi_log_form(p) -> LogForm:

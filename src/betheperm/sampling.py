@@ -32,7 +32,7 @@ from .permanents import (
     validate_permutation,
 )
 from .permanents import marginals as _marginals
-from .phi import LogForm, add_log_term
+from .phi import LogForm, _as_entries, _prefix_log_sum, add_log_term
 
 #: Full enumeration of n! permutations or orderings is used up to this size.
 ENUM_LIMIT = 7
@@ -191,7 +191,7 @@ def ordering_gap(p) -> float:
     by full enumeration (n <= 7).  Equality holds at the two-point uniform
     vector.
     """
-    entries = p.entries if hasattr(p, "entries") else tuple(p)
+    entries = _as_entries(p)
     n = len(entries)
     if n > ENUM_LIMIT:
         raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
@@ -213,7 +213,7 @@ def ordering_gap_log_form(p) -> LogForm:
     reorderings of ``p``; the pairing of each ordering with its reverse makes
     that an exact identity of forms, testable without evaluating a single log.
     """
-    entries = [Fraction(x) for x in (p.entries if hasattr(p, "entries") else p)]
+    entries = [Fraction(x) for x in _as_entries(p)]
     n = len(entries)
     if n > ENUM_LIMIT:
         raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
@@ -261,19 +261,14 @@ def entropy_upper_bound_sampled(matrix: NonNegMatrix, num_orders: int,
         raise ValueError("need at least two sampled orderings for a standard error")
     rng = np.random.default_rng(rng)
     weights = _marginals(matrix)
-    rows = [[float(x) for x in row] for row in weights.entries]
-    n = matrix.n
+    rows = weights.numpy()
     samples = np.empty(num_orders)
     for k in range(num_orders):
-        order = rng.permutation(n)
+        # a coordinate's tail under an ordering is its prefix in the reverse
+        order = rng.permutation(matrix.n)[::-1]
         value = 0.0
-        for row in rows:
-            tail = 0.0
-            for t in range(n - 1, -1, -1):
-                x = row[order[t]]
-                tail += x
-                if x > 0.0:
-                    value += x * math.log(tail)
+        for row in rows[:, order].tolist():
+            value = _prefix_log_sum(row, value)
         samples[k] = value
     base = bp_objective(matrix, weights, 0.0)
     return base + float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(num_orders))

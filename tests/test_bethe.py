@@ -283,8 +283,11 @@ class TestProjection:
     def check(self, q):
         with np.errstate(divide="ignore"):
             log_q = np.log(q)
-        for shift in (0.0, 100 * LOG2, -100 * LOG2):
-            s, log_s = bethe._project_birkhoff(log_q + shift)
+        rows, sigma = bethe.linear_sum_assignment(np.where(q > 0, 0.0, 1.0))
+        assert (q[rows, sigma] > 0).all()  # a permutation on the support
+        for offset in (0.0, 100 * LOG2, -100 * LOG2):
+            log_p = log_q + offset
+            s, log_s, shift = matrices._project_birkhoff(log_p)
             assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(s.sum(axis=0) - 1.0).max() <= 1e-12
             assert ((s > 0) == (q > 0)).all()
@@ -292,6 +295,8 @@ class TestProjection:
             assert _scaling_fit_error(log_q, log_s) <= 1e-9
             normal = s >= 1e-300  # subnormals keep too few bits to compare
             assert np.abs(np.exp(log_s[normal]) / s[normal] - 1.0).max() <= 1e-12
+            # shift = sum u + sum v, read off along any support permutation
+            assert abs(shift - (log_s[rows, sigma] - log_p[rows, sigma]).sum()) <= 1e-9
 
     def test_dense_positive(self):
         rng = np.random.default_rng(59)
@@ -307,10 +312,49 @@ class TestProjection:
             self.check(q)
         assert smallest < 1e-280
 
+    def test_column_far_below_its_rows_maxima(self):
+        # after the row-max shift the middle column is e^-1381, which is 0.0
+        # in floats; the column-max shift brings its largest entry back to 1
+        self.check(np.array([[1e300, 1e-300, 1.0], [1e300, 1e-300, 1.0],
+                             [1.0, 1e-300, 1e300]]))
+
+    def test_entries_that_return_from_underflow(self):
+        # after the max shifts entry (3, 4) is 2^-1086, 0.0 in floats, yet it
+        # is about 1 in the doubly stochastic scaling; sweeps that divide S
+        # in place balance the support without it, and Newton fails from there
+        exponents = [[-416, None, -252, -840, -632], [None, -283, -162, -106, None],
+                     [None, -570, 812, -274, -848], [None, -125, 16, -861, 535],
+                     [-283, None, 526, -628, -800]]
+        a = NonNegMatrix(tuple(tuple(0.0 if e is None else math.ldexp(1.0, e)
+                                     for e in row) for row in exponents))
+        exact = NonNegMatrix(tuple(tuple(0 if e is None else Fraction(2) ** e
+                                         for e in row) for row in exponents))
+        log_per = log_permanent(exact)
+        assert log_permanent(a) == pytest.approx(log_per, rel=1e-15)
+        for gamma in (-1.0, -0.5):
+            result = optimize(a, gamma)
+            assert result.converged
+            assert result.log_value <= log_per + 1e-9
+
     def test_zero_row_collapses(self):
         log_q = np.log(np.random.default_rng(67).uniform(0.05, 1.0, (5, 5)))
         log_q[2] = -np.inf
-        assert bethe._project_birkhoff(log_q) is None
+        assert matrices._project_birkhoff(log_q) is None
+
+    @pytest.mark.parametrize("rows, rk, ck", [
+        ([[int(x) for x in row]
+          for row in np.random.default_rng(71).integers(1, 64, (12, 12))],
+         [exponent] * 12, None)
+        for exponent in (300, -300)] + [
+        # the input of test_scaling_that_needs_many_sweeps
+        ([[31, 31, 27, 40, 55], [25, 35, 0, 0, 52], [0, 0, 0, 23, 42],
+          [23, 0, 39, 20, 51], [43, 36, 0, 34, 16]],
+         [-6, 86, 71, 6, 20], [-1, -33, 11, -81, 1])])
+    def test_prescale_is_doubly_stochastic(self, rows, rk, ck):
+        face, _, q, log_q, _ = matrices.prescale(as_float(rows, rk, ck))
+        assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(q.sum(axis=0) - 1.0).max() <= 1e-12
+        assert (np.isfinite(log_q) == face).all()
 
 
 class TestProperties:
@@ -419,6 +463,15 @@ class TestProperties:
 
 
 class TestBoundReport:
+    def test_marginal_cancelled_below_zero_is_clamped(self):
+        # marginals (3, 1) and (3, 2) are about 1e-900, and Glynn's signed
+        # sum can leave them slightly negative; unclamped, the marginal
+        # matrix fails validation
+        a = NonNegMatrix(((1e300, 1e-300, 1.0), (1e300, 1e-300, 1.0),
+                          (1.0, 1e-300, 1e300)))
+        assert (marginals(a).numpy() >= 0.0).all()
+        assert bound_report(a).all_passed
+
     def test_tight_block_example(self):
         report = bound_report(pair_block_matrix(4))
         assert report.n == 8

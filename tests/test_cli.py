@@ -143,6 +143,13 @@ class TestBounds:
         assert all(payload["checks"].values())
         assert payload["ratio_per_bethe"] == pytest.approx(16.0, rel=1e-6)
 
+    def test_marginal_cancelled_below_zero(self, capsys, tmp_path):
+        path = tmp_path / "cancel.csv"
+        path.write_text("1e300,1e-300,1\n1e300,1e-300,1\n1,1e-300,1e300\n")
+        code, out, _ = run(capsys, "bounds", str(path))
+        assert code == 0
+        assert all(json.loads(out)["checks"].values())
+
     def test_zero_permanent_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "zero.csv"
         path.write_text("1,0\n0,0\n")

@@ -13,7 +13,6 @@ from betheperm import (
     NonNegMatrix,
     ZeroPermanentError,
     block_diag,
-    compose,
     identity_permutation,
     identity_tensor,
     log_permanent,
@@ -35,11 +34,6 @@ class TestPermutations:
             validate_permutation([0, 0, 1])
         with pytest.raises(ValueError):
             validate_permutation([0, 1], n=3)
-
-    def test_compose(self):
-        sigma = (1, 2, 0)
-        pi = (2, 0, 1)
-        assert compose(sigma, pi) == tuple(sigma[pi[i]] for i in range(3))
 
     def test_reverse_is_involution(self):
         pi = (3, 1, 0, 2)

@@ -30,7 +30,6 @@ from .permanents import (
     per_bruteforce,
     per_ryser,
     permanent_minors,
-    permutation_weight,
     reverse_order,
     validate_permutation,
 )

@@ -172,9 +172,8 @@ def _cmd_phi(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, matrix_arg: bool = True) -> None:
-    if matrix_arg:
-        sub.add_argument("matrix", help="matrix file (CSV rows or JSON object)")
+def _add_common(sub) -> None:
+    sub.add_argument("matrix", help="matrix file (CSV rows or JSON object)")
     sub.add_argument("--mode", choices=("float", "rational"), default="float",
                      help="numeric mode for parsing and exact paths")
 

@@ -45,27 +45,45 @@ def log_scalar(x: Scalar) -> float:
     return math.log(x)
 
 
-def _freeze_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
-    return tuple(tuple(row) for row in rows)
+def _square_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
+    rows = tuple(tuple(row) for row in rows)
+    n = len(rows)
+    if n == 0:
+        raise ValueError("matrix must have at least one row")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {i + 1} has {len(row)} entries, expected {n}")
+    return rows
+
+
+def _check_entries(rows: Iterable[Sequence[Scalar]], upper: Scalar | None = None,
+                   where: str = "row {i}, column {j}") -> None:
+    """Raise ValueError at the first entry, in row-major order, that is not
+    finite, is negative, or exceeds ``upper`` (1, or 1 plus a tolerance).
+    Exact entries are finite whatever their size; ``where`` names the place
+    from the 1-based row i and column j."""
+    for i, row in enumerate(rows, start=1):
+        for j, x in enumerate(row, start=1):
+            if 0 <= x < math.inf and (upper is None or x <= upper):
+                continue  # NaN fails every comparison
+            place = where.format(i=i, j=j)
+            if not (is_exact_scalar(x) or math.isfinite(x)):
+                raise ValueError(f"non-finite entry {x} at {place}")
+            if x < 0:
+                raise ValueError(f"negative entry {x} at {place}")
+            raise ValueError(f"entry {x} at {place} exceeds 1")
 
 
 @dataclass(frozen=True)
 class NonNegMatrix:
-    """Square matrix A with nonnegative entries, the permanent's argument."""
+    """Square matrix A with finite nonnegative entries, the permanent's
+    argument.  Exact entries (int, Fraction) may lie past the float range."""
 
     entries: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _freeze_rows(self.entries))
-        n = len(self.entries)
-        if n == 0:
-            raise ValueError("matrix must have at least one row")
-        for i, row in enumerate(self.entries):
-            if len(row) != n:
-                raise ValueError(f"row {i + 1} has {len(row)} entries, expected {n}")
-            for j, x in enumerate(row):
-                if x < 0:
-                    raise ValueError(f"negative entry {x} at row {i + 1}, column {j + 1}")
+        object.__setattr__(self, "entries", _square_rows(self.entries))
+        _check_entries(self.entries)
 
     @property
     def n(self) -> int:
@@ -89,7 +107,7 @@ class DoublyStochMatrix:
     entries: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _freeze_rows(self.entries))
+        object.__setattr__(self, "entries", _square_rows(self.entries))
 
     @property
     def n(self) -> int:
@@ -112,14 +130,6 @@ class StochasticVector:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact_scalar(x) for x in self.entries)
-
 
 def validate_stochastic_vector(entries: Sequence[Scalar],
                                tol: float = DEFAULT_DS_TOL) -> StochasticVector:
@@ -127,9 +137,7 @@ def validate_stochastic_vector(entries: Sequence[Scalar],
     entries = tuple(entries)
     if not entries:
         raise ValueError("vector must have at least one entry")
-    for k, x in enumerate(entries):
-        if x < 0:
-            raise ValueError(f"negative entry {x} at position {k + 1}")
+    _check_entries((entries,), where="position {j}")
     total = sum(entries)
     if all(is_exact_scalar(x) for x in entries):
         if total != 1:
@@ -140,54 +148,31 @@ def validate_stochastic_vector(entries: Sequence[Scalar],
 
 
 def validate_doubly_stochastic(matrix, tol: float = DEFAULT_DS_TOL) -> DoublyStochMatrix:
-    """Validate row sums, column sums, and entry range; return the typed value.
+    """Validate the entry range, row sums and column sums; return the typed value.
 
-    Rational input is checked for exact equality; float input within ``tol``.
-    The first violated constraint is reported (negative entry, row, or column,
-    all 1-based in messages).  A square ndarray is checked in numpy, and the
-    entry loop below runs only to name the first violation; its sums are
-    cumulative, in the loop's order, so both agree bit for bit.
+    Rational input is checked for exact equality; float input, including
+    every ndarray, within ``tol``.  The first violation is reported (a
+    non-finite, negative or too large entry, then a row, then a column, all
+    1-based in messages).  Entries are screened and the sums formed in
+    numpy, on object arrays for rational input; the sums are cumulative, so
+    they add each line left to right as Python's ``sum`` does.
     """
-    if isinstance(matrix, (NonNegMatrix, DoublyStochMatrix)):
-        rows = matrix.entries
-    elif isinstance(matrix, np.ndarray):
-        q = matrix.astype(float)
-        rows = tuple(map(tuple, q.tolist()))
-        if q.ndim == 2 and q.shape[0] == q.shape[1] > 0 and not (
-                (q < 0).any()
-                or (np.abs(np.cumsum(q, axis=1)[:, -1] - 1) > tol).any()
-                or (np.abs(np.cumsum(q, axis=0)[-1] - 1) > tol).any()):
-            return DoublyStochMatrix(rows)
+    if isinstance(matrix, np.ndarray):
+        a = matrix.astype(float)
+        rows, exact = _square_rows(a.tolist()), False
     else:
-        rows = _freeze_rows(matrix)
-    n = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {i + 1} has {len(row)} entries, expected {n}")
-
-    exact = all(is_exact_scalar(x) for row in rows for x in row)
-
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x < 0:
-                raise ValueError(f"negative entry {x} at row {i + 1}, column {j + 1}")
-            upper = 1 if exact else 1 + tol
-            if x > upper:
-                raise ValueError(f"entry {x} at row {i + 1}, column {j + 1} exceeds 1")
-
-    def _bad(total) -> bool:
-        if exact:
-            return total != 1
-        return abs(total - 1) > tol
-
-    for i, row in enumerate(rows):
-        total = sum(row)
-        if _bad(total):
-            raise ValueError(f"row {i + 1} sums to {total}")
-    for j in range(n):
-        total = sum(rows[i][j] for i in range(n))
-        if _bad(total):
-            raise ValueError(f"column {j + 1} sums to {total}")
+        rows = _square_rows(matrix.entries if isinstance(
+            matrix, (NonNegMatrix, DoublyStochMatrix)) else matrix)
+        exact = all(is_exact_scalar(x) for row in rows for x in row)
+        a = np.array(rows, dtype=object if exact else float)
+    upper = 1 if exact else 1 + tol
+    if not ((a >= 0) & (a <= upper)).all():  # NaN and ±inf fail too
+        _check_entries(rows, upper)
+    for line, sums in (("row", np.cumsum(a, axis=1)[:, -1]),
+                       ("column", np.cumsum(a, axis=0)[-1])):
+        bad = np.flatnonzero(sums != 1 if exact else np.abs(sums - 1) > tol)
+        if bad.size:
+            raise ValueError(f"{line} {bad[0] + 1} sums to {sums[bad[0]]}")
     return DoublyStochMatrix(rows)
 
 
@@ -419,12 +404,33 @@ def prescale(matrix: NonNegMatrix
 # ---------------------------------------------------------------------------
 
 def parse_scalar(token: str, exact: bool) -> Scalar:
+    """One entry of a matrix or vector file: a decimal or p/q literal, as a
+    Fraction when ``exact`` and as a float otherwise.  Raises ValueError on
+    a malformed or negative literal, and in float mode on a non-finite one
+    (nan, inf, or a decimal past the float range such as 1e400); p/0, and
+    in float mode a p/q past the float range, raise an ArithmeticError."""
     token = token.strip()
     if exact:
-        return Fraction(token)
-    if "/" in token:
-        return float(Fraction(token))
-    return float(token)
+        value = Fraction(token)
+    else:
+        value = float(Fraction(token)) if "/" in token else float(token)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite entry {token}")
+    if value < 0:
+        raise ValueError(f"negative entry {token}")
+    return value
+
+
+def _parse_tokens(tokens: Iterable[str], exact: bool, prefix: str = "") -> tuple[Scalar, ...]:
+    """``parse_scalar`` of each token; an error names the 1-based column
+    after ``prefix``."""
+    values = []
+    for col, token in enumerate(tokens, start=1):
+        try:
+            values.append(parse_scalar(token, exact))
+        except (ValueError, ArithmeticError) as exc:
+            raise MatrixParseError(f"{prefix}column {col}: {exc}") from exc
+    return tuple(values)
 
 
 def format_scalar(x: Scalar) -> str | float:
@@ -448,17 +454,7 @@ def parse_matrix_csv(text: str, exact: bool = False) -> NonNegMatrix:
         elif len(tokens) != width:
             raise MatrixParseError(
                 f"line {lineno}: expected {width} values, got {len(tokens)}")
-        row = []
-        for col, token in enumerate(tokens, start=1):
-            try:
-                value = parse_scalar(token, exact)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise MatrixParseError(f"line {lineno}, column {col}: {exc}") from exc
-            if value < 0:
-                raise MatrixParseError(
-                    f"line {lineno}, column {col}: negative entry {token.strip()}")
-            row.append(value)
-        rows.append(tuple(row))
+        rows.append(_parse_tokens(tokens, exact, f"line {lineno}, "))
     if not rows:
         raise MatrixParseError("empty input")
     if len(rows) != width:
@@ -482,16 +478,7 @@ def parse_matrix_json(text: str, exact: bool = False) -> NonNegMatrix:
     for i, raw_row in enumerate(entries, start=1):
         if len(raw_row) != n:
             raise MatrixParseError(f"row {i}: expected {n} values, got {len(raw_row)}")
-        row = []
-        for j, item in enumerate(raw_row, start=1):
-            try:
-                value = parse_scalar(str(item), exact)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise MatrixParseError(f"row {i}, column {j}: {exc}") from exc
-            if value < 0:
-                raise MatrixParseError(f"row {i}, column {j}: negative entry {item}")
-            row.append(value)
-        rows.append(tuple(row))
+        rows.append(_parse_tokens(map(str, raw_row), exact, f"row {i}, "))
     return NonNegMatrix(tuple(rows))
 
 
@@ -502,19 +489,13 @@ def parse_matrix(text: str, exact: bool = False) -> NonNegMatrix:
     return parse_matrix_csv(text, exact)
 
 
-def parse_vector_csv(text: str, exact: bool = False,
-                     tol: float = DEFAULT_DS_TOL) -> StochasticVector:
+def parse_vector_csv(text: str, exact: bool = False) -> StochasticVector:
     tokens = [t for t in text.replace("\n", ",").split(",") if t.strip()]
     if not tokens:
         raise MatrixParseError("empty input")
-    values = []
-    for col, token in enumerate(tokens, start=1):
-        try:
-            values.append(parse_scalar(token, exact))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MatrixParseError(f"column {col}: {exc}") from exc
+    values = _parse_tokens(tokens, exact)
     try:
-        return validate_stochastic_vector(values, tol=tol)
+        return validate_stochastic_vector(values)
     except ValueError as exc:
         raise MatrixParseError(str(exc)) from exc
 

@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from .matrices import (
-    DEFAULT_DS_TOL,
     DoublyStochMatrix,
     NonNegMatrix,
     Scalar,
@@ -73,14 +72,6 @@ def reverse_order(pi: Permutation) -> Permutation:
     """The reversed permutation; it induces the opposite total ordering."""
     n = len(pi)
     return tuple(pi[n - 1 - i] for i in range(n))
-
-
-def permutation_weight(matrix: NonNegMatrix, sigma: Permutation) -> Scalar:
-    """Product of the matrix entries selected by sigma."""
-    weight = matrix.entries[0][sigma[0]]
-    for i in range(1, matrix.n):
-        weight = weight * matrix.entries[i][sigma[i]]
-    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +242,12 @@ class GibbsWeights:
         return cls(matrix, total)
 
     def weight(self, sigma: Permutation) -> Scalar:
-        return permutation_weight(self.matrix, sigma)
+        """Product of the matrix entries selected by sigma."""
+        rows = self.matrix.entries
+        weight = rows[0][sigma[0]]
+        for i in range(1, len(rows)):
+            weight = weight * rows[i][sigma[i]]
+        return weight
 
     def probability(self, sigma: Permutation) -> Scalar:
         sigma = validate_permutation(sigma, self.matrix.n)
@@ -314,7 +310,7 @@ def _marginal_pass(matrix: NonNegMatrix, prepared
                                for row, minor in zip(rows, minors)]
 
 
-def marginals(matrix: NonNegMatrix, tol: float = DEFAULT_DS_TOL) -> DoublyStochMatrix:
+def marginals(matrix: NonNegMatrix) -> DoublyStochMatrix:
     """Marginal matrix P[i][j] = Pr[(i, j) is selected] under the weight
     distribution, A[i][j] * per(minor ij) / per(A).
 
@@ -326,4 +322,4 @@ def marginals(matrix: NonNegMatrix, tol: float = DEFAULT_DS_TOL) -> DoublyStochM
     weights = _marginal_pass(matrix, None if matrix.is_exact else prescale(matrix))[1]
     if weights is None:
         raise ZeroPermanentError("permanent is zero: marginals are undefined")
-    return validate_doubly_stochastic(weights, tol=tol)
+    return validate_doubly_stochastic(weights)

@@ -84,12 +84,6 @@ def nu_prob(dist: NuDistribution, sigma: Permutation) -> Scalar:
         r = order[t]
         numerator = rows[r][sigma[r]]
         denominator = sum(rows[r][chosen_cols[u]] for u in range(t, n))
-        if denominator == 0:
-            if numerator == 0:
-                return Fraction(0) if exact else 0.0
-            raise RuntimeError(
-                "zero step total with a positive numerator; the weight matrix "
-                "cannot be doubly stochastic")  # unreachable for valid weights
         if numerator == 0:
             return Fraction(0) if exact else 0.0
         if exact:

@@ -67,6 +67,28 @@ class TestPer:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("command, text, place", [
+        ("per", "nan,1\n1,1\n", "line 1, column 1"),
+        ("per", "1e400,1\n1,1\n", "line 1, column 1"),
+        ("bounds", "nan,1\n1,1\n", "line 1, column 1"),
+        ("bounds", "1e400,1\n1,1\n", "line 1, column 1"),
+        ("phi", "0.5,nan,0.5\n", "column 2"),
+        ("phi", "1e400,0,0\n", "column 1"),
+    ])
+    def test_non_finite_entry_exit_code(self, capsys, tmp_path, command, text, place):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {place}: non-finite entry ")
+
+    def test_rational_mode_reads_past_the_float_range(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1e400,1\n1,1\n")
+        code, out, _ = run(capsys, "per", str(path), "--mode", "rational")
+        assert code == 0
+        assert out.strip() == str(10**400 + 1)
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "per", str(tmp_path / "absent.csv"))
         assert code == 2

@@ -99,6 +99,24 @@ class TestValidation:
                         outcomes.append(str(err))
                 assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     np.float64("inf"), np.float32("nan")])
+    def test_non_finite_entries_rejected(self, bad):
+        message = f"non-finite entry {bad} at row 2, column 1"
+        rows = ((0.5, 0.5), (bad, 0.5))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NonNegMatrix(rows)
+        for given_rows in (rows, np.array(rows)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                validate_doubly_stochastic(given_rows)
+        with pytest.raises(ValueError, match=f"^non-finite entry {bad} at position 2$"):
+            validate_stochastic_vector((0.5, bad, 0.5))
+
+    def test_exact_entries_past_the_float_range_accepted(self):
+        assert NonNegMatrix(((10**400, 1), (1, 1))).entries[0][0] == 10**400
+        with pytest.raises(ValueError, match=f"^entry {10**400} at row 1, column 1 exceeds 1$"):
+            validate_doubly_stochastic(((10**400, 0), (0, 1)))
+
     def test_exact_mode_requires_exact_sums(self):
         validate_doubly_stochastic([[Fraction(1, 3), Fraction(2, 3)],
                                     [Fraction(2, 3), Fraction(1, 3)]])
@@ -290,6 +308,20 @@ class TestFileFormats:
         assert m.entries == ((5.0,),)
         m = parse_matrix("5\n")
         assert m.entries == ((5.0,),)
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_matrix, "nan,1\n1,1", "line 1, column 1: non-finite entry nan"),
+        (parse_matrix, "1,1\n1,1e400", "line 2, column 2: non-finite entry 1e400"),
+        (parse_matrix, '{"n": 2, "entries": [[1, 1], [NaN, 1]]}',
+         "row 2, column 1: non-finite entry nan"),
+        (parse_vector_csv, "0.5,nan,0.5", "column 2: non-finite entry nan"),
+        (parse_vector_csv, "0.5,-0.5,1", "column 2: negative entry -0.5"),
+        pytest.param(parse_matrix, f"{10**400}/1,1\n1,1", "line 1, column 1: .+",
+                     id="p/q past the float range"),
+    ])
+    def test_non_finite_and_negative_token_diagnostics(self, parse, text, message):
+        with pytest.raises(MatrixParseError, match=f"^{message}$"):
+            parse(text)
 
     def test_vector_parsing(self):
         v = parse_vector_csv("1/2,1/2", exact=True)

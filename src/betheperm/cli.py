@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from .bethe import (
 )
 from .matrices import (
     MatrixParseError,
+    is_exact_scalar,
     matrix_to_json_dict,
     parse_matrix,
     parse_vector_csv,
@@ -55,14 +55,6 @@ def _json_value(x: float):
     return float(_fmt(x))
 
 
-def _scalar_str(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    return _fmt(x)
-
-
 def _load(path: str, exact: bool, parse=parse_matrix):
     """Read and parse a matrix file (or, with ``parse_vector_csv``, a vector
     file); read and parse errors both name the file."""
@@ -88,7 +80,7 @@ def _make_order(kind: str, n: int, seed: int | None):
 def _cmd_per(args) -> int:
     matrix = _load(args.matrix, args.mode == "rational")
     value = per_bruteforce(matrix) if args.oracle else per_ryser(matrix)
-    print(_scalar_str(value))
+    print(value if is_exact_scalar(value) else _fmt(value))
     return EXIT_OK
 
 

@@ -388,6 +388,7 @@ def prescale(matrix: NonNegMatrix
     Q has the marginal matrix of A, and on a doubly stochastic P the
     objectives of ``bethe`` at Q exceed those at A by shift.  Returns
     (face, log A, Q, log Q, shift); Q is 0 and log Q -inf off the face.
+    Raises ValueError when the scaling does not converge.
     """
     face = np.array(matchable_support(matrix), dtype=bool)
     if not face.any(axis=1).all():  # the mask is empty: no perfect matching
@@ -395,7 +396,8 @@ def prescale(matrix: NonNegMatrix
     log_a = _log_entries(matrix)
     projected = _project_birkhoff(np.where(face, log_a, -np.inf))
     if projected is None:
-        raise RuntimeError("diagonal scaling of the matchable face did not converge")
+        raise ValueError("diagonal scaling of the matchable face did not converge; "
+                         "the entries may span more than the float range")
     return (face, log_a) + projected
 
 
@@ -434,12 +436,8 @@ def _parse_tokens(tokens: Iterable[str], exact: bool, prefix: str = "") -> tuple
 
 
 def format_scalar(x: Scalar) -> str | float:
-    """JSON-friendly form: rationals as 'p/q' strings, floats as numbers."""
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    if isinstance(x, int):
-        return str(x)
-    return float(x)
+    """JSON-friendly form: exact scalars as 'p' or 'p/q' strings, floats as numbers."""
+    return str(x) if is_exact_scalar(x) else float(x)
 
 
 def parse_matrix_csv(text: str, exact: bool = False) -> NonNegMatrix:
@@ -464,18 +462,26 @@ def parse_matrix_csv(text: str, exact: bool = False) -> NonNegMatrix:
 
 
 def parse_matrix_json(text: str, exact: bool = False) -> NonNegMatrix:
+    """Number literals reach ``parse_scalar`` as their source text, so
+    ``exact`` reads 0.10000000000000000001 and 1e400 exactly."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise MatrixParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "entries" not in data:
         raise MatrixParseError('expected an object with "n" and "entries"')
     entries = data["entries"]
+    if not isinstance(entries, list):
+        raise MatrixParseError(f'"entries" is not a list of rows: {entries!r}')
     n = data.get("n", len(entries))
+    if type(n) is not int:
+        raise MatrixParseError(f'"n" is not an integer: {n}')
     if len(entries) != n:
         raise MatrixParseError(f'"entries" has {len(entries)} rows, "n" is {n}')
     rows = []
     for i, raw_row in enumerate(entries, start=1):
+        if not isinstance(raw_row, list):
+            raise MatrixParseError(f"row {i} is not a list: {raw_row!r}")
         if len(raw_row) != n:
             raise MatrixParseError(f"row {i}: expected {n} values, got {len(raw_row)}")
         rows.append(_parse_tokens(map(str, raw_row), exact, f"row {i}, "))

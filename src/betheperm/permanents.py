@@ -1,12 +1,11 @@
 """Permanents, the weighted distribution over permutations, and its marginals.
 
-On exact (integer or rational) input two independent permanent algorithms
-are kept side by side: full permutation enumeration (the definition,
-n <= 10) and Ryser's inclusion-exclusion (n <= 30).  One Gray-code walk over
-the column subsets, which keeps each row's sum over the current subset,
-drives both Ryser's formula and the pass that gives every minor.  All are
-exact.  The marginal matrix takes one walk: the minors, with per(A) =
-sum_j A_0j minor_0j from them.
+Exact (integer or rational) input runs on Python ints: each row times the
+lcm of its denominators.  Two independent permanent algorithms are kept side
+by side: full permutation enumeration (the definition, n <= 10) and Ryser's
+inclusion-exclusion in Gray-code order (n <= 30).  Every minor comes from
+one exact pass of the Glynn formula float input takes too, and the marginal
+matrix from the minors, with per(A) = sum_j A_0j minor_0j.
 
 Float input goes through one numpy pass of Glynn's formula, in blocks of at
 most 2^10 sign vectors, on the doubly stochastic Q = diag(r) A diag(c) from
@@ -44,8 +43,10 @@ RYSER_LIMIT = 30
 
 #: The float pass walks Glynn's sign vectors in blocks of 2^10 rows.  At
 #: n = 16 that was the fastest of 2^6..2^12 (8.9 ms against 12.0 at 2^8 and
-#: 10.9 at 2^12), and it keeps the block tables near 1 MB.
+#: 10.9 at 2^12), and it keeps the block tables near 1 MB.  Exact input
+#: takes 2^6 rows: as fast as 2^10, with fewer live int objects at a time.
 _GLYNN_BLOCK_BITS = 10
+_GLYNN_EXACT_BLOCK_BITS = 6
 
 Permutation = tuple[int, ...]
 
@@ -78,13 +79,31 @@ def reverse_order(pi: Permutation) -> Permutation:
 # Permanents
 # ---------------------------------------------------------------------------
 
+def _integer_rows(matrix: NonNegMatrix) -> tuple[list[list[int]], list[int]]:
+    """B = diag(d) A as rows of Python ints, and d, with d_i the lcm of the
+    denominators in row i of exact A: per(A) = per(B) / prod(d), and A and B
+    have the same marginal matrix."""
+    rows, scales = [], []
+    for row in matrix.entries:
+        d = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
+    return rows, scales
+
+
+def _unscale(total: Scalar, scales: Sequence[int]) -> Scalar:
+    """per(A) = per(B) / prod(d) from per(B) = ``total``; an int when d = 1."""
+    denominator = math.prod(scales)
+    return total if denominator == 1 else Fraction(total, denominator)
+
+
 def per_bruteforce(matrix: NonNegMatrix) -> Scalar:
     """Permanent by summing over all n! permutations (n <= 10)."""
     n = matrix.n
     if n > BRUTEFORCE_LIMIT:
         raise ValueError(
             f"n={n} exceeds the brute-force limit {BRUTEFORCE_LIMIT}; use per_ryser")
-    rows = matrix.entries
+    rows, scales = _integer_rows(matrix) if matrix.is_exact else (matrix.entries, ())
     total = 0
     for sigma in itertools.permutations(range(n)):
         weight = rows[0][sigma[0]]
@@ -93,7 +112,7 @@ def per_bruteforce(matrix: NonNegMatrix) -> Scalar:
                 break
             weight = weight * rows[i][sigma[i]]
         total = total + weight
-    return total
+    return _unscale(total, scales)
 
 
 def _check_ryser_limit(n: int) -> None:
@@ -102,8 +121,9 @@ def _check_ryser_limit(n: int) -> None:
 
 
 def per_ryser(matrix: NonNegMatrix) -> Scalar:
-    """Permanent by Ryser's formula, Gray-code order, O(2^n * n), exact on
-    rational input.
+    """Permanent by Ryser's formula, O(2^n * n), exact on rational input.
+    Column subsets S go in Gray-code order, one column in or out per step
+    (Nijenhuis & Wilf), and sums[i] keeps row i's sum over S.
 
     Float input returns exp(log per A) from the blocked Glynn pass (see the
     module docstring): 0.0 for a zero permanent, inf only past the float range.
@@ -113,42 +133,27 @@ def per_ryser(matrix: NonNegMatrix) -> Scalar:
             return float(np.exp(_marginal_pass(matrix, prescale(matrix))[0]))
     n = matrix.n
     _check_ryser_limit(n)
-    total = 0
-    for sign, _, sums in _gray_walk(matrix.entries, n):
-        product = sums[0]
-        for i in range(1, n):
-            if product == 0:
-                break
-            product = product * sums[i]
-        total = total + product if sign > 0 else total - product
-    return total
-
-
-def _gray_walk(rows, n: int):
-    """Every nonempty column subset S in Gray-code order, one column in or
-    out per step (Nijenhuis & Wilf).
-
-    Yields (sign, members, sums): sign = (-1)^(n - |S|), the columns of S,
-    and sums[i] = sum of row i over S.  The lists are updated in place.
-    """
+    rows, scales = _integer_rows(matrix)
+    columns = list(zip(*rows))
     sums = [0] * n
-    members: list[int] = []
-    gray = 0
+    total = gray = 0
     for k in range(1, 1 << n):
         bit = (k & -k).bit_length() - 1
         gray ^= 1 << bit
-        if gray & (1 << bit):
-            members.append(bit)
-            for i in range(n):
-                sums[i] = sums[i] + rows[i][bit]
+        column = columns[bit]
+        if gray >> bit & 1:
+            sums = [s + a for s, a in zip(sums, column)]
         else:
-            members.remove(bit)
-            for i in range(n):
-                sums[i] = sums[i] - rows[i][bit]
-        yield (1 if (n - len(members)) % 2 == 0 else -1), members, sums
+            sums = [s - a for s, a in zip(sums, column)]
+        product = math.prod(sums)
+        if (n - gray.bit_count()) & 1:  # Ryser's sign (-1)^(n - |S|)
+            total -= product
+        else:
+            total += product
+    return _unscale(total, scales)
 
 
-def _glynn(q: np.ndarray) -> tuple[float, np.ndarray]:
+def _glynn(q: np.ndarray) -> tuple[Scalar, np.ndarray]:
     """per(q) and the matrix of its minors, by Glynn's formula
 
         per(q) = 2^(1-n) * sum over d in {-1, 1}^n with d_0 = 1 of
@@ -158,17 +163,19 @@ def _glynn(q: np.ndarray) -> tuple[float, np.ndarray]:
     the same sum with row i's factor replaced by d_j.  Sign vectors go in
     blocks: the low bits form a fixed table of 2^k rows, and a Python loop
     runs over the high bits.
+
+    On an object array of Python ints the sums are exact and per and the
+    minors are Fractions; no numpy int64, which wraps past 2^63, enters them.
     """
     n = q.shape[0]
-    if n == 1:
-        return float(q[0, 0]), np.ones((1, 1))
-    k = min(n - 1, _GLYNN_BLOCK_BITS)
+    exact = q.dtype == object
+    k = min(n - 1, _GLYNN_EXACT_BLOCK_BITS if exact else _GLYNN_BLOCK_BITS)
     high = n - 1 - k
-    d = np.ones((1 << k, n))
+    d = np.ones((1 << k, n), dtype=q.dtype)
     d[:, 1:k + 1] = 1 - 2 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1)
     low_sign = d[:, 1:k + 1].prod(axis=1)
-    total = 0.0
-    minors = np.zeros((n, n))
+    total = 0
+    minors = np.zeros((n, n), dtype=q.dtype)
     for code in range(1 << high):
         signs = 1 - 2 * ((code >> np.arange(high)) & 1)
         d[:, k + 1:] = signs
@@ -177,11 +184,11 @@ def _glynn(q: np.ndarray) -> tuple[float, np.ndarray]:
         e = np.ones_like(s)
         np.cumprod(s[:, :-1], axis=1, out=e[:, 1:])
         e[:, :-1] *= np.cumprod(s[:, :0:-1], axis=1)[:, ::-1]
-        e *= (low_sign * signs.prod())[:, None]
+        e *= (low_sign * int(signs.prod()))[:, None]
         total += e[:, 0] @ s[:, 0]
         minors += e.T @ d
-    scale = 0.5 ** (n - 1)
-    return float(total) * scale, minors * scale
+    scale = Fraction(1, 1 << (n - 1)) if exact else 0.5 ** (n - 1)
+    return total * scale, minors * scale
 
 
 def _float_pass(prepared) -> tuple[float, np.ndarray | None]:
@@ -259,33 +266,21 @@ class GibbsWeights:
 
 
 def permanent_minors(matrix: NonNegMatrix) -> list[list[Scalar]]:
-    """per of the (i, j) minor for every entry, in one pass.
+    """per of the (i, j) minor for every entry, from one pass of ``_glynn``.
 
-    The permanent is multilinear in the entries, so the (i, j) minor permanent
-    is the partial derivative with respect to entry (i, j).  On exact input,
-    differentiating Ryser's formula term by term costs O(2^n * n^2) for all
-    n^2 minors at once instead of n^2 separate Ryser runs.  Float input takes
-    them from Glynn's formula on A as given: unlike the permanent, the minors
-    depend on entries that lie on no perfect matching, so A is not prescaled.
+    Exact input runs it on B = diag(d) A from ``_integer_rows``, and minor
+    ij of A is the Fraction d_i / prod(d) minor_ij(B).  Float input runs it
+    on A as given: unlike the permanent, the minors depend on entries that
+    lie on no perfect matching, so A is not prescaled.
     """
     n = matrix.n
     _check_ryser_limit(n)
     if not matrix.is_exact:
         return _glynn(matrix.numpy())[1].tolist()
-    minors = [[0] * n for _ in range(n)]
-    for sign, members, sums in _gray_walk(matrix.entries, n):
-        # products of all row sums except row i, via prefix/suffix sweeps
-        prefix = [1] * (n + 1)
-        for i in range(n):
-            prefix[i + 1] = prefix[i] * sums[i]
-        suffix = sign  # carries Ryser's sign into every product
-        for i in range(n - 1, -1, -1):
-            exclude_i = prefix[i] * suffix
-            if exclude_i != 0:
-                for j in members:
-                    minors[i][j] = minors[i][j] + exclude_i
-            suffix = suffix * sums[i]
-    return minors
+    rows, scales = _integer_rows(matrix)
+    minors = _glynn(np.array(rows, dtype=object))[1].tolist()
+    denominator = math.prod(scales)
+    return [[m * Fraction(d, denominator) for m in row] for d, row in zip(scales, minors)]
 
 
 def _marginal_pass(matrix: NonNegMatrix, prepared
@@ -294,16 +289,15 @@ def _marginal_pass(matrix: NonNegMatrix, prepared
 
     Float input takes both from the Glynn pass on ``prepared``, which is
     ``prescale(matrix)``.  Exact input does not read ``prepared``: it takes
-    the minors from one Gray-code walk and per(A) = sum_j A_0j minor_0j from
-    them, so the marginals are exact.  A zero permanent gives (-inf, None).
+    the Fraction minors and per(A) = sum_j A_0j minor_0j from them, so the
+    marginals are exact.  A zero permanent gives (-inf, None).
     """
     _check_ryser_limit(matrix.n)
     if not matrix.is_exact:
         return _float_pass(prepared)
     minors = permanent_minors(matrix)
     rows = matrix.entries
-    # a Fraction total keeps int/int divisions exact
-    total = Fraction(sum(a * m for a, m in zip(rows[0], minors[0])))
+    total = sum(a * m for a, m in zip(rows[0], minors[0]))
     if total == 0:
         return float("-inf"), None
     return log_scalar(total), [[a * m / total for a, m in zip(row, minor)]

@@ -13,6 +13,7 @@ import pytest
 import betheperm
 from betheperm import parse_matrix_json
 from betheperm.cli import main
+from tests.test_matrices import wide_span_rows
 
 
 @pytest.fixture
@@ -89,6 +90,36 @@ class TestPer:
         assert code == 0
         assert out.strip() == str(10**400 + 1)
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_rational_mode_integer_valued(self, capsys, tmp_path, oracle):
+        path = tmp_path / "m.csv"
+        path.write_text("2/2,4/2\n6/2,8/2\n")
+        code, out, _ = run(capsys, "per", str(path), "--mode", "rational", *oracle)
+        assert (code, out) == (0, "10\n")
+
+    def test_json_literals_read_exactly_in_rational_mode(self, capsys, tmp_path):
+        csv = tmp_path / "m.csv"
+        csv.write_text("0.10000000000000000001\n")
+        doc = tmp_path / "m.json"
+        doc.write_text('{"entries": [[0.10000000000000000001]]}')
+        outs = [run(capsys, "per", str(path), "--mode", "rational")
+                for path in (csv, doc)]
+        assert outs[0] == outs[1] == (0, "10000000000000000001/100000000000000000000\n", "")
+        doc.write_text('{"entries": [[1e400, 1], [1, 1]]}')
+        assert run(capsys, "per", str(doc), "--mode", "rational") == (
+            0, f"{10**400 + 1}\n", "")
+        code, out, err = run(capsys, "per", str(doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: {doc}: row 1, column 1: non-finite entry 1e400\n"
+
+    @pytest.mark.parametrize("text", ['{"entries": 5}', '{"n": 2, "entries": [[1, 2], 3]}'])
+    def test_json_shape_error_exit_code(self, capsys, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "per", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and "is not a list" in err
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "per", str(tmp_path / "absent.csv"))
         assert code == 2
@@ -142,7 +173,40 @@ class TestOptimizeCommands:
         assert done.stderr == ""
 
 
+class TestWideSpanInput:
+    """Entries whose logs span more than the float range: the float paths'
+    diagonal scaling does not converge, an input error, not a failed check."""
+
+    @pytest.fixture
+    def wide(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(",".join(repr(x) for x in row)
+                                  for row in wide_span_rows()) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["per", "bounds"])
+    def test_float_mode_is_an_input_error(self, capsys, wide, command):
+        code, out, err = run(capsys, command, wide)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "float range" in err
+
+    def test_rational_mode_is_exact(self, capsys, wide):
+        code, out, _ = run(capsys, "per", wide, "--mode", "rational")
+        assert code == 0
+        per = Fraction(out.strip())
+        assert math.log(per.numerator) - math.log(per.denominator) == pytest.approx(
+            688.0590620709352, rel=1e-15)
+
+
 class TestMarginals:
+    def test_float_output(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        for text, entries in (("1,1\n1,1\n", "[[0.5, 0.5], [0.5, 0.5]]"),
+                              ("2,0\n0,0.5\n", "[[1.0, 0.0], [0.0, 1.0]]")):
+            path.write_text(text)
+            assert run(capsys, "marginals", str(path)) == (
+                0, f'{{"entries": {entries}, "n": 2}}\n', "")
+
     def test_round_trip_exact(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,4\n")

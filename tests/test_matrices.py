@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +30,24 @@ from betheperm import (
     validate_doubly_stochastic,
     validate_stochastic_vector,
 )
-from betheperm.matrices import matchable_support
+from betheperm.matrices import matchable_support, prescale
+
+
+#: Entries x * 2^k of a 5 x 5 matrix at 1-based (row, column), 0 elsewhere.
+#: Their logs span more than the float range, and the diagonal scaling of
+#: the matrix does not converge.
+WIDE_SPAN_ENTRIES = {
+    (1, 1): (2, 979), (1, 4): (48, -827),
+    (2, 2): (3, 818), (2, 4): (39, 684), (2, 5): (26, -937),
+    (3, 3): (28, -77), (3, 5): (56, 221),
+    (4, 2): (26, -572), (4, 3): (31, 761), (4, 4): (60, -775),
+    (5, 1): (53, -4), (5, 5): (14, -225),
+}
+
+
+def wide_span_rows():
+    return [[math.ldexp(*WIDE_SPAN_ENTRIES[i, j]) if (i, j) in WIDE_SPAN_ENTRIES
+             else 0.0 for j in range(1, 6)] for i in range(1, 6)]
 
 
 def identity_matrix(n):
@@ -265,6 +283,12 @@ class TestMatchingSupport:
             env=env, check=True, timeout=60)
 
 
+class TestPrescale:
+    def test_unconverged_scaling_is_an_input_error(self):
+        with pytest.raises(ValueError, match="may span more than the float range"):
+            prescale(NonNegMatrix(wide_span_rows()))
+
+
 class TestFileFormats:
     def test_csv_floats(self):
         m = parse_matrix_csv("1,2\n3,4\n")
@@ -303,6 +327,27 @@ class TestFileFormats:
         with pytest.raises(MatrixParseError, match='"n"'):
             parse_matrix_json('{"n": 3, "entries": [[1, 2], [3, 4]]}')
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"entries": 5}', '"entries" is not a list'),
+        ('{"n": 2, "entries": [[1, 2], 3]}', "row 2 is not a list"),
+        ('{"n": "2", "entries": [[1, 2], [3, 4]]}', '"n" is not an integer'),
+        ('{"n": 2.5, "entries": [[1, 2], [3, 4]]}', '"n" is not an integer'),
+        ('{"n": true, "entries": [[1]]}', '"n" is not an integer'),
+    ])
+    def test_json_non_list_or_non_integer_shape(self, text, message):
+        for exact in (False, True):
+            with pytest.raises(MatrixParseError, match=message):
+                parse_matrix_json(text, exact)
+
+    def test_json_number_literals_are_exact_in_rational_mode(self):
+        text = '{"entries": [[0.10000000000000000001, 1e400], [1, 1]]}'
+        exact = parse_matrix_json(text, exact=True)
+        assert exact.entries[0] == (Fraction(10**19 + 1, 10**20), 10**400)
+        assert exact.entries == parse_matrix_csv(
+            "0.10000000000000000001,1e400\n1,1\n", exact=True).entries
+        assert parse_matrix_json('{"entries": [[0.1, 2.5], [1, 1]]}').entries == (
+            (0.1, 2.5), (1.0, 1.0))
+
     def test_dispatch_by_leading_character(self):
         m = parse_matrix('{"n": 1, "entries": [[5]]}')
         assert m.entries == ((5.0,),)
@@ -314,6 +359,8 @@ class TestFileFormats:
         (parse_matrix, "1,1\n1,1e400", "line 2, column 2: non-finite entry 1e400"),
         (parse_matrix, '{"n": 2, "entries": [[1, 1], [NaN, 1]]}',
          "row 2, column 1: non-finite entry nan"),
+        (parse_matrix, '{"n": 2, "entries": [[1, 1], [1, 1e400]]}',
+         "row 2, column 2: non-finite entry 1e400"),
         (parse_vector_csv, "0.5,nan,0.5", "column 2: non-finite entry nan"),
         (parse_vector_csv, "0.5,-0.5,1", "column 2: negative entry -0.5"),
         pytest.param(parse_matrix, f"{10**400}/1,1\n1,1", "line 1, column 1: .+",

@@ -157,6 +157,65 @@ class TestMarginals:
                 assert p.entries[i][j] == mass / total
 
 
+def enumerated(rows):
+    """per(rows) and every minor permanent, summed over all permutations of
+    the entries as given."""
+    n = len(rows)
+    per = 0
+    minors = [[0] * n for _ in range(n)]
+    for sigma in itertools.permutations(range(n)):
+        chosen = [rows[i][sigma[i]] for i in range(n)]
+        per += math.prod(chosen)
+        for i in range(n):
+            minors[i][sigma[i]] += math.prod(chosen[:i] + chosen[i + 1:])
+    return per, minors
+
+
+F = Fraction
+EXACT_KERNEL_INPUTS = {
+    "mixed denominators": [
+        [F(1, 3), F(2, 7), F(5, 6), 7, F(1, 2)],
+        [F(2, 7), 0, 7, F(1, 3), F(5, 6)],
+        [F(5, 6), 7, F(1, 3), F(2, 7), 1],
+        [7, F(1, 3), F(2, 7), F(5, 6), F(3, 4)],
+        [1, 2, 3, 4, 5]],
+    "past the float range": [
+        [10**400, 1, F(1, 10**400)],
+        [F(1, 10**400), 2, 3],
+        [1, F(1, 3), 10**400]],
+    # a row-sum product near 2^381, and n = 8 so that the sign vectors span
+    # more than one block of the exact Glynn pass
+    "past int64": [[(i * 8 + j + 1) * 2**40 + i * j for j in range(8)]
+                   for i in range(8)],
+    "zero row": [[F(1, 2), 3, F(2, 5)], [0, 0, 0], [1, F(7, 3), 2]],
+}
+
+
+@pytest.mark.parametrize("rows", EXACT_KERNEL_INPUTS.values(), ids=EXACT_KERNEL_INPUTS)
+def test_exact_kernels_against_enumeration(rows):
+    """Each exact kernel against per and minors summed over all permutations
+    of the original entries."""
+    matrix = NonNegMatrix(rows)
+    per, minors = enumerated(rows)
+    assert per_bruteforce(matrix) == per
+    assert per_ryser(matrix) == per
+    assert permanent_minors(matrix) == minors
+    if per == 0:
+        assert log_permanent(matrix) == float("-inf")
+        with pytest.raises(ZeroPermanentError):
+            marginals(matrix)
+        return
+    per = F(per)
+    assert log_permanent(matrix) == math.log(per.numerator) - math.log(per.denominator)
+    p = marginals(matrix).entries
+    n = len(rows)
+    assert all(isinstance(x, F) for row in p for x in row)
+    assert p == tuple(tuple(rows[i][j] * minors[i][j] / per for j in range(n))
+                      for i in range(n))
+    assert all(sum(row) == 1 for row in p)
+    assert all(sum(row[j] for row in p) == 1 for j in range(n))
+
+
 class TestWeightDistribution:
     def test_uniform_case(self):
         assert GibbsWeights.of(ones(2)).probability((0, 1)) == Fraction(1, 2)

@@ -84,9 +84,9 @@ def _cmd_per(args) -> int:
     return EXIT_OK
 
 
-def _cmd_optimize(args, gamma: float) -> int:
+def _cmd_optimize(args) -> int:
     matrix = _load(args.matrix, args.mode == "rational")
-    result = optimize(matrix, gamma, tol=args.tol, max_iter=args.max_iter)
+    result = optimize(matrix, args.gamma, tol=args.tol, max_iter=args.max_iter)
     with np.errstate(over="ignore"):  # a value past the float range prints "inf"
         value = np.exp(result.log_value)
     print(json.dumps({
@@ -99,14 +99,6 @@ def _cmd_optimize(args, gamma: float) -> int:
     return EXIT_OK
 
 
-def _cmd_bethe(args) -> int:
-    return _cmd_optimize(args, -1.0)
-
-
-def _cmd_bp(args) -> int:
-    return _cmd_optimize(args, args.gamma)
-
-
 def _cmd_marginals(args) -> int:
     matrix = _load(args.matrix, args.mode == "rational")
     print(json.dumps(matrix_to_json_dict(marginals(matrix)), sort_keys=True))
@@ -116,10 +108,8 @@ def _cmd_marginals(args) -> int:
 def _cmd_bounds(args) -> int:
     matrix = _load(args.matrix, args.mode == "rational")
     report = bound_report(matrix, tol=args.tol, max_iter=args.max_iter)
-    payload = report.to_json_dict()
-    payload.update({key: _json_value(payload[key]) for key in
-                    ("log_per", "log_bethe", "log_bp_half", "log_beta_marginals",
-                     "ratio_per_bethe", "ratio_per_bp_half")})
+    payload = {key: _json_value(value) if isinstance(value, float) else value
+               for key, value in report.to_json_dict().items()}
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
@@ -192,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     bethe = commands.add_parser("bethe", help="maximize the Bethe objective")
     _add_common(bethe)
     _add_optimizer_flags(bethe)
-    bethe.set_defaults(func=_cmd_bethe)
+    bethe.set_defaults(func=_cmd_optimize, gamma=-1.0)
 
     bp = commands.add_parser("bp", help="maximize the fractional objective")
     _add_common(bp)
     _add_optimizer_flags(bp)
     bp.add_argument("--gamma", type=float, required=True,
                     help="fractional parameter in [-1, 1]")
-    bp.set_defaults(func=_cmd_bp)
+    bp.set_defaults(func=_cmd_optimize)
 
     marg = commands.add_parser("marginals", help="exact marginal matrix as JSON")
     _add_common(marg)

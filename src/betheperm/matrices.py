@@ -75,15 +75,11 @@ def _check_entries(rows: Iterable[Sequence[Scalar]], upper: Scalar | None = None
 
 
 @dataclass(frozen=True)
-class NonNegMatrix:
-    """Square matrix A with finite nonnegative entries, the permanent's
-    argument.  Exact entries (int, Fraction) may lie past the float range."""
-
+class _SquareMatrix:
     entries: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _square_rows(self.entries))
-        _check_entries(self.entries)
 
     @property
     def n(self) -> int:
@@ -95,30 +91,24 @@ class NonNegMatrix:
 
     def numpy(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
+
+
+@dataclass(frozen=True)
+class NonNegMatrix(_SquareMatrix):
+    """Square matrix A with finite nonnegative entries, the permanent's
+    argument.  Exact entries (int, Fraction) may lie past the float range."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_entries(self.entries)
 
     def support(self) -> list[list[bool]]:
         return [[x > 0 for x in row] for row in self.entries]
 
 
 @dataclass(frozen=True)
-class DoublyStochMatrix:
+class DoublyStochMatrix(_SquareMatrix):
     """Matrix in the Birkhoff polytope.  Construct via ``validate_doubly_stochastic``."""
-
-    entries: tuple[tuple[Scalar, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _square_rows(self.entries))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact_scalar(x) for row in self.entries for x in row)
-
-    def numpy(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -161,8 +151,7 @@ def validate_doubly_stochastic(matrix, tol: float = DEFAULT_DS_TOL) -> DoublySto
         a = matrix.astype(float)
         rows, exact = _square_rows(a.tolist()), False
     else:
-        rows = _square_rows(matrix.entries if isinstance(
-            matrix, (NonNegMatrix, DoublyStochMatrix)) else matrix)
+        rows = _square_rows(matrix.entries if isinstance(matrix, _SquareMatrix) else matrix)
         exact = all(is_exact_scalar(x) for row in rows for x in row)
         a = np.array(rows, dtype=object if exact else float)
     upper = 1 if exact else 1 + tol
@@ -506,7 +495,7 @@ def parse_vector_csv(text: str, exact: bool = False) -> StochasticVector:
         raise MatrixParseError(str(exc)) from exc
 
 
-def matrix_to_json_dict(matrix: NonNegMatrix | DoublyStochMatrix) -> dict:
+def matrix_to_json_dict(matrix: _SquareMatrix) -> dict:
     return {
         "n": matrix.n,
         "entries": [[format_scalar(x) for x in row] for row in matrix.entries],

@@ -16,6 +16,8 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
+
 import numpy as np
 
 from .matrices import Scalar, StochasticVector, is_exact_scalar, log_scalar
@@ -62,30 +64,44 @@ def eval_log_form(form: LogForm) -> float:
     return sum(float(c) * log_scalar(arg) for arg, c in form.items())
 
 
-def _add_prefix_suffix_terms(form: LogForm, values: list[Fraction], factor: int) -> None:
-    """Add factor * x_k log(prefix_k) and factor * x_k log(suffix_k) for every
-    coordinate x_k, where prefix_k and suffix_k both include x_k."""
-    for seq in (values, values[::-1]):
-        running = Fraction(0)
-        for x in seq:
-            running += x
-            add_log_term(form, running, factor * x)
-
-
-def _prefix_log_sum(values: list[float], acc: float = 0.0) -> float:
-    """acc + sum_k x_k log(prefix_k) in floats, where prefix_k includes x_k,
-    with x log x = 0 at zero coordinates."""
-    running = 0.0
+def _add_prefix_terms(form: LogForm, values: Sequence[Fraction], factor: Fraction) -> None:
+    """Add factor * x_k log(prefix_k) for every coordinate x_k, where prefix_k
+    includes x_k: the log-form twin of :func:`_prefix_log_sum`."""
+    running = Fraction(0)
     for x in values:
         running += x
-        if x > 0.0:
-            acc += x * math.log(running)
+        add_log_term(form, running, factor * x)
+
+
+def _add_slack_terms(form: LogForm, values: Sequence[Fraction], factor: Fraction) -> None:
+    """Add factor * (1 - x_k) log(1 - x_k) for every coordinate x_k."""
+    for x in values:
+        add_log_term(form, 1 - x, factor * (1 - x))
+
+
+def _prefix_log_sum(values: Sequence[Scalar], acc: float = 0.0) -> float:
+    """acc + sum_k x_k log(prefix_k), where prefix_k includes x_k, with
+    x log x = 0 at zero coordinates.  The prefixes stay exact on int and
+    Fraction input; only the logs are floats."""
+    running = 0
+    for x in values:
+        running = running + x
+        if x > 0:
+            acc += float(x) * log_scalar(running)
     return acc
 
 
-def _prefix_suffix_log_sum(values: list[float]) -> float:
-    """sum_k x_k log(prefix_k) + sum_k x_k log(suffix_k) in floats."""
+def _prefix_suffix_log_sum(values: Sequence[Scalar]) -> float:
+    """sum_k x_k log(prefix_k) + sum_k x_k log(suffix_k)."""
     return _prefix_log_sum(values[::-1], _prefix_log_sum(values))
+
+
+def _slack_term(x: Scalar) -> float:
+    """(1 - x) log(1 - x), zero at x = 1.  1 - x is exact on int and Fraction
+    input, so x just below 1 keeps a finite log where log1p(-float(x)) would
+    not."""
+    rest = 1 - x
+    return float(rest) * log_scalar(rest) if rest > 0 else 0.0
 
 
 def phi_log_form(p) -> LogForm:
@@ -97,11 +113,9 @@ def phi_log_form(p) -> LogForm:
     """
     entries = [Fraction(x) for x in _as_entries(p)]
     form: LogForm = {}
-    _add_prefix_suffix_terms(form, entries, 1)
-    for x in entries:
-        rest = 1 - x
-        if rest > 0:
-            add_log_term(form, rest, -2 * rest)
+    _add_prefix_terms(form, entries, Fraction(1))
+    _add_prefix_terms(form, entries[::-1], Fraction(1))
+    _add_slack_terms(form, entries, Fraction(-2))
     return form
 
 
@@ -112,18 +126,11 @@ def phi_log_form(p) -> LogForm:
 def phi(p) -> float:
     """Gap function value, with the x log x = 0 convention at zero coordinates.
 
-    Rational input is evaluated through exact prefix/suffix sums; float input
-    uses log1p for the (1 - p_k) terms.
+    Prefix and suffix sums, and each 1 - p_k, are exact on rational input;
+    only the logs are taken in floats.
     """
     entries = _as_entries(p)
-    if entries and all(is_exact_scalar(x) for x in entries):
-        return eval_log_form(phi_log_form(entries))
-    values = [float(x) for x in entries]
-    acc = _prefix_suffix_log_sum(values)
-    for x in values:
-        if x < 1.0:
-            acc -= 2.0 * (1.0 - x) * math.log1p(-x)
-    return acc
+    return _prefix_suffix_log_sum(entries) - 2.0 * sum(map(_slack_term, entries))
 
 
 def entropy_dominance_check(p, slack: float = 1e-12) -> bool:
@@ -134,19 +141,15 @@ def entropy_dominance_check(p, slack: float = 1e-12) -> bool:
     """
     entries = _as_entries(p)
     if entries and all(is_exact_scalar(x) for x in entries):
-        diff: LogForm = {}
         values = [Fraction(x) for x in entries]
-        for x in values:
-            rest = 1 - x
-            if rest > 0:
-                add_log_term(diff, rest, rest)
-        _add_prefix_suffix_terms(diff, values, -1)
+        diff: LogForm = {}
+        _add_slack_terms(diff, values, Fraction(1))
+        _add_prefix_terms(diff, values, Fraction(-1))
+        _add_prefix_terms(diff, values[::-1], Fraction(-1))
         if not diff:
             return True  # exact equality
         return eval_log_form(diff) >= -slack
-    values = [float(x) for x in entries]
-    lhs = sum((1.0 - x) * math.log1p(-x) for x in values if x < 1.0)
-    return lhs >= _prefix_suffix_log_sum(values) - slack
+    return sum(map(_slack_term, entries)) >= _prefix_suffix_log_sum(entries) - slack
 
 
 def within_merge_threshold(r: Scalar, s: Scalar) -> bool:

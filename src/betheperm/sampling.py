@@ -18,13 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .bethe import bp_objective
-from .matrices import (
-    DoublyStochMatrix,
-    NonNegMatrix,
-    Scalar,
-    is_exact_scalar,
-    log_scalar,
-)
+from .matrices import DoublyStochMatrix, NonNegMatrix, Scalar, log_scalar
 from .permanents import (
     GibbsWeights,
     Permutation,
@@ -32,7 +26,14 @@ from .permanents import (
     validate_permutation,
 )
 from .permanents import marginals as _marginals
-from .phi import LogForm, _as_entries, _prefix_log_sum, add_log_term
+from .phi import (
+    LogForm,
+    _add_prefix_terms,
+    _add_slack_terms,
+    _as_entries,
+    _prefix_log_sum,
+    _slack_term,
+)
 
 #: Full enumeration of n! permutations or orderings is used up to this size.
 ENUM_LIMIT = 7
@@ -67,29 +68,27 @@ class NuDistribution:
         return self.weights.n
 
 
+def _nu_factors(dist: NuDistribution, sigma: Permutation):
+    """(chosen entry, total weight of the columns still free) at each visit
+    step of the sequential procedure that produces ``sigma``."""
+    rows = dist.weights.entries
+    chosen_cols = [sigma[r] for r in dist.order]
+    for t, r in enumerate(dist.order):
+        yield rows[r][sigma[r]], sum(rows[r][j] for j in chosen_cols[t:])
+
+
 def nu_prob(dist: NuDistribution, sigma: Permutation) -> Scalar:
     """Probability that the sequential procedure produces ``sigma``.
 
     Product over visit steps of the chosen entry divided by the total weight
-    of the columns still free at that step.  Exact on rational weights.
+    of the columns still free at that step: a Fraction on int and Fraction
+    weights, zero included, and a float on float weights.
     """
-    n = dist.n
-    sigma = validate_permutation(sigma, n)
-    rows = dist.weights.entries
-    order = dist.order
-    exact = dist.weights.is_exact
-    chosen_cols = [sigma[order[t]] for t in range(n)]
-    value: Scalar = Fraction(1) if exact else 1.0
-    for t in range(n):
-        r = order[t]
-        numerator = rows[r][sigma[r]]
-        denominator = sum(rows[r][chosen_cols[u]] for u in range(t, n))
-        if numerator == 0:
-            return Fraction(0) if exact else 0.0
-        if exact:
-            value *= Fraction(numerator) / Fraction(denominator)
-        else:
-            value *= numerator / denominator
+    value = Fraction(1)
+    for chosen, free in _nu_factors(dist, validate_permutation(sigma, dist.n)):
+        if chosen == 0:
+            return chosen * value
+        value = value * chosen / free
     return value
 
 
@@ -127,11 +126,12 @@ def nu_sample(dist: NuDistribution, rng, max_retries: int = 64) -> Permutation:
 def kl_mu_nu(matrix: NonNegMatrix, dist: NuDistribution) -> float:
     """KL divergence from the weight-proportional distribution to the proposal.
 
-    Full enumeration (n <= 7); always nonnegative, and exactly zero when the
-    two distributions coincide pointwise.  On float input each mu(sigma) is
-    exp(sum log a - log per), and log per carries about 1e-13 of error
-    (``log_permanent``), so the sum is accurate to about 1e-13; it is
-    clamped at 0.
+    Full enumeration (n <= 7); clamped at 0, so always nonnegative, and
+    exactly zero when the two distributions coincide pointwise, since each
+    log(mu / nu) is taken of an exact ratio on rational input.  On float
+    input each mu(sigma) is exp(sum log a - log per), and log per carries
+    about 1e-13 of error (``log_permanent``), so the sum is accurate to
+    about 1e-13.
     """
     n = matrix.n
     if n != dist.n:
@@ -147,11 +147,8 @@ def kl_mu_nu(matrix: NonNegMatrix, dist: NuDistribution) -> float:
         nu = nu_prob(dist, sigma)
         if nu == 0:
             raise AbsoluteContinuityError(sigma)
-        if is_exact_scalar(mu) and is_exact_scalar(nu):
-            acc += float(mu) * log_scalar(Fraction(mu) / Fraction(nu))
-        else:
-            acc += float(mu) * (math.log(float(mu)) - math.log(float(nu)))
-    return acc if matrix.is_exact else max(acc, 0.0)
+        acc += float(mu) * log_scalar(mu / nu)
+    return max(acc, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +159,12 @@ def _avg_tail_log_sum(row: Sequence[Scalar]) -> float:
     """Average over all orderings of  sum_k p_k log(sum of p over k's tail).
 
     The tail of k under an ordering contains k itself and everything placed
-    after it.  Exact partial sums are kept when the input is rational.
+    after it: its prefix in the reversed ordering.  The orderings are closed
+    under reversal, so this is the average of prefix sums, which stay exact
+    on rational input.
     """
-    n = len(row)
-    exact = all(is_exact_scalar(x) for x in row)
-    zero: Scalar = Fraction(0) if exact else 0.0
-    acc = 0.0
-    for order in itertools.permutations(range(n)):
-        tail = zero
-        for t in range(n - 1, -1, -1):
-            x = row[order[t]]
-            tail = tail + x
-            if x > 0:
-                acc += float(x) * log_scalar(tail)
-    return acc / math.factorial(n)
+    total = sum(_prefix_log_sum(order) for order in itertools.permutations(row))
+    return total / math.factorial(len(row))
 
 
 def ordering_gap(p) -> float:
@@ -189,15 +178,7 @@ def ordering_gap(p) -> float:
     n = len(entries)
     if n > ENUM_LIMIT:
         raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
-    acc = _avg_tail_log_sum(entries)
-    for x in entries:
-        if x < 1:
-            if is_exact_scalar(x):
-                rest = 1 - Fraction(x)
-                acc -= float(rest) * log_scalar(rest)
-            else:
-                acc -= (1.0 - float(x)) * math.log1p(-float(x))
-    return acc
+    return _avg_tail_log_sum(entries) - sum(map(_slack_term, entries))
 
 
 def ordering_gap_log_form(p) -> LogForm:
@@ -213,16 +194,9 @@ def ordering_gap_log_form(p) -> LogForm:
         raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
     form: LogForm = {}
     weight = Fraction(1, math.factorial(n))
-    for order in itertools.permutations(range(n)):
-        tail = Fraction(0)
-        for t in range(n - 1, -1, -1):
-            x = entries[order[t]]
-            tail += x
-            add_log_term(form, tail, x * weight)
-    for x in entries:
-        rest = 1 - x
-        if rest > 0:
-            add_log_term(form, rest, -rest)
+    for order in itertools.permutations(entries):
+        _add_prefix_terms(form, order, weight)
+    _add_slack_terms(form, entries, Fraction(-1))
     return form
 
 
@@ -278,8 +252,8 @@ def estimate_log_permanent(matrix: NonNegMatrix, dist: NuDistribution | None,
 
     Weights are the permutation products of A divided by the proposal
     probability; the default proposal uses the exact marginal matrix with the
-    identity visit order.  Log-domain throughout, so large n does not
-    underflow.
+    identity visit order.  Log-domain throughout, the proposal probability
+    included, so the estimate stays finite at any n.
     """
     from scipy.special import logsumexp  # deferred: importing scipy costs 0.3 s
 
@@ -288,10 +262,14 @@ def estimate_log_permanent(matrix: NonNegMatrix, dist: NuDistribution | None,
     rng = np.random.default_rng(rng)
     if dist is None:
         dist = NuDistribution(_marginals(matrix), identity_permutation(matrix.n))
+    if dist.n != matrix.n:
+        raise ValueError(f"dimension mismatch: {matrix.n} vs {dist.n}")
     log_weights = np.empty(num_samples)
     rows = matrix.entries
     for k in range(num_samples):
         sigma = nu_sample(dist, rng)
         log_target = sum(log_scalar(rows[i][sigma[i]]) for i in range(matrix.n))
-        log_weights[k] = log_target - log_scalar(nu_prob(dist, sigma))
+        log_nu = sum(log_scalar(chosen) - log_scalar(free)
+                     for chosen, free in _nu_factors(dist, sigma))
+        log_weights[k] = log_target - log_nu
     return float(logsumexp(log_weights) - math.log(num_samples))

@@ -173,6 +173,29 @@ class TestOptimizeCommands:
         assert done.stderr == ""
 
 
+class TestPinnedStdout:
+    """The optimize and bounds commands print these exact bytes for the
+    3-cycle support matrix, whose per is 2 and whose values are closed forms."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["bethe"], '{"converged": true, "gradient_residual": 0.0, "iterations": 1, '
+                    '"log_value": 0.0, "value": 1.0}\n'),
+        (["bp", "--gamma", "-0.5"],
+         '{"converged": true, "gradient_residual": 0.0, "iterations": 1, '
+         '"log_value": 1.03972077083992, "value": 2.82842712474619}\n'),
+        (["bounds"],
+         '{"checks": {"bethe_le_per": true, "bp_half_le_sqrte_n_bethe": true, '
+         '"per_le_bp_half": true, "per_le_sqrt2n_beta_marginals": true, '
+         '"per_le_sqrt2n_bethe": true}, "log_beta_marginals": 0.0, "log_bethe": 0.0, '
+         '"log_bp_half": 1.03972077083992, "log_per": 0.693147180559945, "n": 3, '
+         '"ratio_per_bethe": 2.0, "ratio_per_bp_half": 0.707106781186547}\n'),
+    ])
+    def test_cycle_matrix(self, capsys, tmp_path, argv, expected):
+        path = tmp_path / "cycle.csv"
+        path.write_text("1,1,0\n0,1,1\n1,0,1\n")
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (0, expected, "")
+
+
 class TestWideSpanInput:
     """Entries whose logs span more than the float range: the float paths'
     diagonal scaling does not converge, an input error, not a failed check."""

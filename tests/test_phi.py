@@ -11,6 +11,8 @@ from betheperm import (
     certify,
     entropy_dominance_check,
     loop_bound,
+    ordering_gap,
+    ordering_gap_log_form,
     phi,
     phi3_exp_form,
     phi_log_form,
@@ -70,6 +72,20 @@ class TestPhi:
         rng = np.random.default_rng(9)
         p = random_simplex_point(rng, 5)
         assert phi(tuple(float(x) for x in p)) == pytest.approx(phi(p), abs=1e-11)
+
+    def test_coordinate_just_below_one(self):
+        # 1 - x = 1e-30 is exact, where log1p(-float(x)) would be -inf; the
+        # true values are about 1e-28, and the float logs of the prefixes
+        # cancel to within about 1e-14
+        tiny = Fraction(1, 10**30)
+        p = (1 - tiny, tiny)
+        assert phi(p) == pytest.approx(eval_log_form(phi_log_form(p)), abs=1e-13)
+        assert phi(p) == pytest.approx(0.0, abs=1e-13)
+        assert ordering_gap(p) == pytest.approx(
+            eval_log_form(ordering_gap_log_form(p)), abs=1e-13)
+        assert ordering_gap(p) == pytest.approx(0.0, abs=1e-13)
+        assert entropy_dominance_check(p)
+        assert entropy_dominance_check((1 - tiny, tiny / 2, tiny / 2))
 
 
 class TestEntropyDominance:

@@ -109,6 +109,24 @@ class TestNuProb:
         for sigma in itertools.permutations(range(3)):
             assert nu_prob(embedded, sigma + (3, 4)) == nu_prob(dist, sigma)
 
+    def test_value_type_follows_the_weights(self):
+        # (sigma, probability): sigma = (2, 0, 1) meets a zero entry at the
+        # first step and (0, 1, 2) at the second
+        strandable = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+        cases = [((0, 2, 1), Fraction(1, 2)), ((1, 0, 2), Fraction(1, 4)),
+                 ((2, 0, 1), 0), ((0, 1, 2), 0)]
+        for scale, kind in ((Fraction(1, 2), Fraction), (0.5, float)):
+            dist = NuDistribution(validate_doubly_stochastic(
+                [[scale * x for x in row] for row in strandable]), (0, 1, 2))
+            for sigma, value in cases:
+                assert type(nu_prob(dist, sigma)) is kind
+                assert nu_prob(dist, sigma) == value
+        integer = NuDistribution(validate_doubly_stochastic(
+            [[int(i == j) for j in range(3)] for i in range(3)]), (2, 0, 1))
+        assert type(nu_prob(integer, (0, 1, 2))) is Fraction
+        assert type(nu_prob(integer, (1, 0, 2))) is Fraction
+        assert nu_prob(integer, (1, 0, 2)) == 0
+
 
 class TestNuSample:
     def test_identity_pattern_always_identity(self):
@@ -150,6 +168,13 @@ class TestNuSample:
 
 
 class TestKL:
+    def test_dimension_mismatch(self):
+        dist = NuDistribution(marginals(ones(2)), (0, 1))
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            kl_mu_nu(ones(3), dist)
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            estimate_log_permanent(ones(3), dist, 4, 0)
+
     def test_zero_when_distributions_coincide(self):
         a = ones(2)
         dist = NuDistribution(marginals(a), (1, 0))
@@ -300,3 +325,12 @@ class TestImportanceEstimator:
         rng = np.random.default_rng(43)
         estimate = estimate_log_permanent(a, None, 2000, rng)
         assert estimate == pytest.approx(math.log(4), abs=0.05)
+
+    def test_finite_where_the_proposal_probability_underflows(self):
+        # every sample has probability 1/200!, below the float range, and
+        # weight 200!, so each log weight is log 200!
+        n = 200
+        uniform = validate_doubly_stochastic(np.full((n, n), 1.0 / n))
+        dist = NuDistribution(uniform, tuple(range(n)))
+        estimate = estimate_log_permanent(ones(n), dist, 3, 47)
+        assert estimate == pytest.approx(math.lgamma(n + 1), abs=1e-9)

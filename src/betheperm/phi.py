@@ -5,8 +5,10 @@ bound over the hard region reduces to finitely many arbitrary-precision
 integer comparisons on an epsilon-net, one per cell (:func:`verify_cell`).
 :func:`certify` decides the whole grid at once from integer brackets on
 2^K log2(x), evaluated as int64 interval bounds on each cell's log2 margin;
-only the cells in the guard band, where the interval straddles zero, fall
-back to the bigint comparison.  Everything on the certificate path is
+the brackets come from one fixed-point squaring walk per prime p <= N,
+summed exactly over each x's prime factors (:func:`log2_bounds`).  Only the
+cells in the guard band, where the interval straddles zero, fall back to
+the bigint comparison.  Everything on the certificate path is
 integer arithmetic: no floats are consulted when deciding a cell.
 """
 
@@ -262,40 +264,73 @@ def verify_cell(i: int, j: int, n_grid: int) -> bool:
     return lhs <= rhs
 
 
-def log2_bounds(n: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer brackets lo[x] <= 2^bits * log2(x) <= hi[x] for x = 1..n.
+def _log2_walk(x: int, bits: int) -> tuple[int, int]:
+    """Integer brackets low <= 2^bits * log2(x) <= high with high - low <= 2.
 
-    Each x = 2^e * y with y in [1, 2) is walked through ``bits`` binary
-    digits of log2(y) by repeated squaring in fixed point, once with every
-    rounding taken down (the lower bracket) and once with every rounding
-    taken up (the upper bracket).  Eight guard bits keep the accumulated
-    rounding under one unit, so hi[x] - lo[x] <= 2.  Only integer
-    arithmetic is used; index 0 is unused and left at zero.
+    x = 2^e * y with y in [1, 2) is walked through ``bits`` binary digits of
+    log2(y) by repeated squaring in fixed point, once with every rounding
+    taken down (the lower bracket) and once with every rounding taken up
+    (the upper bracket).  Eight guard bits keep the accumulated rounding
+    under one unit.
     """
     point = bits + 8
     one = 1 << point
     two = one << 1
+    e = x.bit_length() - 1
+    down = up = x << (point - e)
+    low = high = 0
+    for _ in range(bits):
+        down = (down * down) >> point
+        up = -((-up * up) >> point)
+        low <<= 1
+        high <<= 1
+        if down >= two:
+            down >>= 1
+            low += 1
+        if up >= two:
+            up = (up + 1) >> 1
+            high += 1
+    # the remainders lie in [1, 2], so their log2 adds [0, 1] units
+    return (e << bits) + low, (e << bits) + high + (up != one)
+
+
+def log2_bounds(n: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer brackets lo[x] <= 2^bits * log2(x) <= hi[x] for x = 1..n.
+
+    Only the primes p <= n are walked (:func:`_log2_walk`), at ``bits + g``
+    bits.  Every other x gets the exact integer sum of the brackets of its
+    prime factors, read off a smallest-prime-factor sieve, since log2 is
+    additive over them; the sums are then rounded to ``bits`` bits, lo down
+    and hi up, which keeps the brackets sound.  An x <= n has fewer than
+    bitlen(n) prime factors and each walk is at most 2 units wide, so with
+    2^g >= 2 bitlen(n) guard units a sum is at most one coarse unit wide,
+    and after the rounding hi[x] - lo[x] <= 2 as for a single walk.  Only
+    integer arithmetic is used; index 0 is unused and left at zero.
+    """
+    guard = (2 * n.bit_length()).bit_length()
+    fine = bits + guard
+    # every fine sum is below 2^fine * (log2(n) + 1)
+    if (n.bit_length() + 1) << fine >= 1 << 63:
+        raise ValueError(f"log2 brackets at {bits} bits overflow int64 at n = {n}")
+    rest = np.arange(n + 1, dtype=np.int64)
+    spf = rest.copy()  # smallest prime factor of each x >= 2
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p::p]
+            np.minimum(multiples, p, out=multiples)
+    prime_lo = np.zeros(n + 1, dtype=np.int64)
+    prime_hi = np.zeros(n + 1, dtype=np.int64)
+    for p in np.flatnonzero(spf == rest)[2:].tolist():  # 0 and 1 are their own spf too
+        prime_lo[p], prime_hi[p] = _log2_walk(p, fine)
     lo = np.zeros(n + 1, dtype=np.int64)
     hi = np.zeros(n + 1, dtype=np.int64)
-    for x in range(1, n + 1):
-        e = x.bit_length() - 1
-        down = up = x << (point - e)
-        low = high = 0
-        for _ in range(bits):
-            down = (down * down) >> point
-            up = -((-up * up) >> point)
-            low <<= 1
-            high <<= 1
-            if down >= two:
-                down >>= 1
-                low += 1
-            if up >= two:
-                up = (up + 1) >> 1
-                high += 1
-        # the remainders lie in [1, 2], so their log2 adds [0, 1] units
-        lo[x] = (e << bits) + low
-        hi[x] = (e << bits) + high + (up != one)
-    return lo, hi
+    rest[0] = 1
+    for _ in range(n.bit_length() - 1):  # the most prime factors of any x <= n
+        factor = spf[rest]  # spf[1] = 1, whose brackets are zero
+        lo += prime_lo[factor]
+        hi += prime_hi[factor]
+        rest //= factor
+    return lo >> guard, -(-hi >> guard)
 
 
 def _coefficient_sum(n_grid: int) -> int:
@@ -420,7 +455,8 @@ def certify(n_grid: int, smoke: int | None = None, seed: int | None = None,
     Args:
         n_grid: grid resolution; must exceed 2e (a full pass additionally
             needs the origin-cell variant, which engages above 100).
-        smoke: if given, check only this many uniformly sampled cells.
+        smoke: if given, check only this many uniformly sampled cells;
+            at least one.
         seed: RNG seed for smoke sampling.
         workers: accepted for compatibility and ignored; the run takes
             one process at every resolution.
@@ -431,6 +467,8 @@ def certify(n_grid: int, smoke: int | None = None, seed: int | None = None,
     start = time.perf_counter()
 
     if smoke is not None:
+        if smoke < 1:
+            raise ValueError(f"smoke must sample at least one cell, got {smoke}")
         rng = np.random.default_rng(seed)
         cells = rng.integers(0, m + 1, size=(smoke, 2))
         failures = tuple(

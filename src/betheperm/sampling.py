@@ -9,6 +9,7 @@ a matrix yields the permanent upper bound verified here at desk scale.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,6 +68,11 @@ class NuDistribution:
     def n(self) -> int:
         return self.weights.n
 
+    @functools.cached_property
+    def _float_weights(self) -> np.ndarray:
+        """The weights as floats, converted once for every draw to share."""
+        return self.weights.numpy()
+
 
 def _nu_factors(dist: NuDistribution, sigma: Permutation):
     """(chosen entry, total weight of the columns still free) at each visit
@@ -100,7 +106,7 @@ def nu_sample(dist: NuDistribution, rng, max_retries: int = 64) -> Permutation:
     """
     rng = np.random.default_rng(rng)
     n = dist.n
-    weights = dist.weights.numpy()
+    weights = dist._float_weights
     order = dist.order
     for _ in range(max_retries):
         free = np.ones(n, dtype=bool)

@@ -282,6 +282,17 @@ class TestSampleAndKL:
         _, out2, _ = run(capsys, "sample", ones2, "--count", "4", "--seed", "9")
         assert out1 == out2
 
+    def test_sample_stdout_pinned(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3,4\n4,1,2,3\n2,5,1,1\n3,3,0,2\n")
+        images = ("2013 2301 2013 3210 1230 2013 2310 3021 2013 2301 3210 2301 2310 "
+                  "1023 1023 3201 2310 2301 1203 2013 2103 3210 3210 2103 2013 1203 "
+                  "1023 2013 2013 2130 2310 2130 2013 2013 2013 2310 2013 2301 3210 "
+                  "3210 2013 2310 2013 3210 2013 2310 2031 2013 3210 2013")
+        expected = "".join(" ".join(image) + "\n" for image in images.split())
+        assert run(capsys, "sample", str(path), "--count", "50", "--seed", "3") == (
+            0, expected, "")
+
     def test_kl_zero_for_uniform(self, capsys, ones2):
         code, out, _ = run(capsys, "kl", ones2, "--order", "reverse")
         assert code == 0
@@ -304,6 +315,12 @@ class TestCertify:
         payload = json.loads(out)
         assert payload["failures"] == []
         assert payload["N"] == 2000 and payload["M"] == 880
+
+    @pytest.mark.parametrize("smoke", ["0", "-1"])
+    def test_smoke_needs_a_cell(self, capsys, smoke):
+        code, out, err = run(capsys, "certify", "--n-grid", "2000", "--smoke", smoke)
+        assert code == 2 and out == ""
+        assert "smoke" in err
 
     def test_small_grid_fails_with_exit_one(self, capsys, tmp_path):
         log = tmp_path / "failures.csv"

@@ -1,5 +1,6 @@
 """Gap function, coordinate-merge reduction, and the exact grid certificate."""
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -25,6 +26,9 @@ from betheperm import (
 from betheperm.matrices import log_scalar
 from betheperm.phi import _interval_grid, _log_bits, eval_log_form, log2_bounds
 from tests.test_sampling import random_simplex_point
+
+# the package exports the function phi under the module's name
+phi_module = importlib.import_module("betheperm.phi")
 
 LOG2 = math.log(2.0)
 
@@ -296,15 +300,52 @@ class TestCertify:
         assert failures == certify(n_grid).failures
         assert (0, 0) in failures
 
-    def test_log2_brackets(self):
-        bits = _log_bits(300)
-        lo, hi = log2_bounds(300, bits)
+    @pytest.mark.parametrize("n_grid, xs", [
+        (300, range(1, 301)),
+        # the largest _log_bits, so the least int64 headroom
+        (6, range(1, 7)),
+        # the composites with the most prime factors, and the primes nearest N
+        (2000, (1024, 1458, 1536, 1944, 1997, 1999, 2000)),
+    ], ids=["300", "6", "2000"])
+    def test_log2_brackets(self, n_grid, xs):
+        bits = _log_bits(n_grid)
+        lo, hi = log2_bounds(n_grid, bits)
         shift = bits - 16
-        for x in range(1, 301):
+        for x in xs:
             lo_x, hi_x = int(lo[x]), int(hi[x])
             assert lo_x <= hi_x <= lo_x + 2
             power = x ** (1 << 16)
             assert 1 << (lo_x >> shift) <= power < 1 << ((hi_x >> shift) + 1)
+
+    def test_one_walk_per_prime(self, monkeypatch):
+        walk = phi_module._log2_walk
+        walks = []
+
+        def counted(x, bits):
+            walks.append(x)
+            return walk(x, bits)
+
+        monkeypatch.setattr(phi_module, "_log2_walk", counted)
+        log2_bounds(2000, _log_bits(2000))
+        assert len(walks) == 303  # pi(2000), the prime 2 included
+        assert walks[:5] == [2, 3, 5, 7, 11] and walks[-1] == 1999
+
+    @pytest.mark.parametrize("n_grid, passed", [
+        (983, False), (984, True), (1005, False), (1006, True), (1007, False), (1008, True),
+    ])
+    def test_tightest_grids_near_one_thousand(self, n_grid, passed):
+        # margins within 0.01-0.15 bits of zero: the sharpest test of the brackets
+        m = loop_bound(n_grid)
+        run = certify(n_grid)
+        assert run.tightest == (0, m)
+        assert run.failures == (() if passed else ((0, m), (m, 0)))
+        assert all(not verify_cell(i, j, n_grid) for i, j in run.failures)
+        assert verify_cell(0, m, n_grid) == passed
+
+    @pytest.mark.parametrize("smoke", [0, -1])
+    def test_smoke_needs_a_cell(self, smoke):
+        with pytest.raises(ValueError, match="smoke"):
+            certify(2000, smoke=smoke, seed=1)
 
     def test_run_record_at_full_resolution(self):
         run = certify(2000)

@@ -115,6 +115,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
     matrix = _load(args.matrix, args.mode == "rational")
     weights = marginals(matrix)
     order = _make_order(args.order, matrix.n, args.seed)

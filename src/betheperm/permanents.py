@@ -12,10 +12,11 @@ most 2^10 sign vectors, on the doubly stochastic Q = diag(r) A diag(c) from
 ``matrices.prescale``, the matrix the optimizer of ``bethe`` starts from.
 The pass gives log per(A) and the marginal matrix together.  Q's rows and
 columns sum to 1, so nothing overflows or underflows whatever the scale of A.
-Measured against exact integer evaluation of dyadic input with n = 6..16,
-log per(A) is within 1.1e-14 (1.2e-13, one unit in the last place, on
-copies scaled by 2^+-100) and marginal rows and columns sum to 1 within
-2e-14; the tests hold n <= 12 to 1e-12.
+Measured against exact integer evaluation of the benchmark's dyadic
+``bounds`` inputs, n = 6..16, each in 12 row and column orders, log per(A)
+is within 1.5e-14 (3.5e-13, three units in the last place, on copies scaled
+by 2^+-100) and marginal rows and columns sum to 1 within 1.4e-14; the
+tests hold n <= 12 to 1e-12.
 """
 
 from __future__ import annotations
@@ -154,41 +155,46 @@ def per_ryser(matrix: NonNegMatrix) -> Scalar:
 
 
 def _glynn(q: np.ndarray) -> tuple[Scalar, np.ndarray]:
-    """per(q) and the matrix of its minors, by Glynn's formula
+    """2^(n-1) per(q) and 2^(n-1) times each minor of q, by Glynn's formula
 
         per(q) = 2^(1-n) * sum over d in {-1, 1}^n with d_0 = 1 of
                  (prod_j d_j) * prod_i (sum_j q_ij d_j).
 
     The formula is multilinear in q, so minor ij, its derivative in q_ij, is
     the same sum with row i's factor replaced by d_j.  Sign vectors go in
-    blocks: the low bits form a fixed table of 2^k rows, and a Python loop
-    runs over the high bits.
+    blocks: the k low bits form a fixed table of 2^k rows, and a Python loop
+    runs over the high bits with no matrix product inside.  A block's row
+    sums are the fixed low-bit table plus one vector from its high signs.
+    Its signed products e add to E, whose one product E^T d after the loop
+    gives the low minor columns.  A high column's sign is constant within a
+    block, so the block adds e's column sums times that sign to the column.
 
-    On an object array of Python ints the sums are exact and per and the
-    minors are Fractions; no numpy int64, which wraps past 2^63, enters them.
+    On an object array of Python ints the sums are exact ints; no numpy
+    int64, which wraps past 2^63, enters them.
     """
     n = q.shape[0]
-    exact = q.dtype == object
-    k = min(n - 1, _GLYNN_EXACT_BLOCK_BITS if exact else _GLYNN_BLOCK_BITS)
+    k = min(n - 1, _GLYNN_EXACT_BLOCK_BITS if q.dtype == object else _GLYNN_BLOCK_BITS)
     high = n - 1 - k
-    d = np.ones((1 << k, n), dtype=q.dtype)
-    d[:, 1:k + 1] = 1 - 2 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1)
-    low_sign = d[:, 1:k + 1].prod(axis=1)
+    d = np.ones((1 << k, k + 1), dtype=q.dtype)
+    d[:, 1:] = 1 - 2 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1)
+    low_sign = d[:, 1:].prod(axis=1)
+    s_low = d @ q[:, :k + 1].T  # s_low[b, i] = sum_{j <= k} q_ij d_bj
     total = 0
+    e_sum = np.zeros_like(s_low)
     minors = np.zeros((n, n), dtype=q.dtype)
     for code in range(1 << high):
-        signs = 1 - 2 * ((code >> np.arange(high)) & 1)
-        d[:, k + 1:] = signs
-        s = d @ q.T  # s[b, i] = sum_j q_ij d_bj
+        signs = (1 - 2 * ((code >> np.arange(high)) & 1)).astype(q.dtype)
+        s = s_low + q[:, k + 1:] @ signs
         # e[b, i]: signed product of s[b] over every row but i
         e = np.ones_like(s)
         np.cumprod(s[:, :-1], axis=1, out=e[:, 1:])
         e[:, :-1] *= np.cumprod(s[:, :0:-1], axis=1)[:, ::-1]
-        e *= (low_sign * int(signs.prod()))[:, None]
+        e *= (low_sign * signs.prod())[:, None]
         total += e[:, 0] @ s[:, 0]
-        minors += e.T @ d
-    scale = Fraction(1, 1 << (n - 1)) if exact else 0.5 ** (n - 1)
-    return total * scale, minors * scale
+        e_sum += e
+        minors[:, k + 1:] += np.outer(e.sum(axis=0), signs)
+    minors[:, :k + 1] = e_sum.T @ d
+    return total, minors
 
 
 def _float_pass(prepared) -> tuple[float, np.ndarray | None]:
@@ -205,10 +211,11 @@ def _float_pass(prepared) -> tuple[float, np.ndarray | None]:
     if prepared is None:
         return float("-inf"), None
     _, _, q, _, shift = prepared
-    per_q, minors_q = _glynn(q)
+    per_q, minors_q = _glynn(q)  # both 2^(n-1) times their value
     # a marginal below the rounding error of Glynn's signed sum can come out
     # slightly negative; the minors of a nonnegative matrix are not
-    return math.log(per_q) - shift, np.maximum(q * minors_q / per_q, 0.0)
+    return (math.log(math.ldexp(per_q, 1 - len(q))) - shift,
+            np.maximum(q * minors_q / per_q, 0.0))
 
 
 def log_permanent(matrix: NonNegMatrix) -> float:
@@ -269,18 +276,19 @@ def permanent_minors(matrix: NonNegMatrix) -> list[list[Scalar]]:
     """per of the (i, j) minor for every entry, from one pass of ``_glynn``.
 
     Exact input runs it on B = diag(d) A from ``_integer_rows``, and minor
-    ij of A is the Fraction d_i / prod(d) minor_ij(B).  Float input runs it
-    on A as given: unlike the permanent, the minors depend on entries that
-    lie on no perfect matching, so A is not prescaled.
+    ij of A is the Fraction d_i minor_ij(B) / prod(d), built once from the
+    pass's integer sum.  Float input runs it on A as given: unlike the
+    permanent, the minors depend on entries that lie on no perfect matching,
+    so A is not prescaled.
     """
     n = matrix.n
     _check_ryser_limit(n)
     if not matrix.is_exact:
-        return _glynn(matrix.numpy())[1].tolist()
+        return np.ldexp(_glynn(matrix.numpy())[1], 1 - n).tolist()
     rows, scales = _integer_rows(matrix)
     minors = _glynn(np.array(rows, dtype=object))[1].tolist()
-    denominator = math.prod(scales)
-    return [[m * Fraction(d, denominator) for m in row] for d, row in zip(scales, minors)]
+    denominator = math.prod(scales) << (n - 1)
+    return [[Fraction(m * d, denominator) for m in row] for d, row in zip(scales, minors)]
 
 
 def _marginal_pass(matrix: NonNegMatrix, prepared

@@ -322,6 +322,14 @@ class TestCertify:
         assert code == 2 and out == ""
         assert "smoke" in err
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_sample_needs_a_draw(self, capsys, monkeypatch, ones2, count):
+        # the count is checked before any marginals are computed
+        monkeypatch.setattr("betheperm.cli.marginals", None)
+        code, out, err = run(capsys, "sample", ones2, "--count", count)
+        assert code == 2 and out == ""
+        assert "count" in err
+
     def test_small_grid_fails_with_exit_one(self, capsys, tmp_path):
         log = tmp_path / "failures.csv"
         code, out, _ = run(capsys, "certify", "--n-grid", "50",

@@ -82,15 +82,24 @@ class TestPermanent:
 
 
 class TestMinors:
-    def test_minors_against_explicit_deletion(self):
-        rng = np.random.default_rng(31)
-        m = random_rational_matrix(rng, 5)
+    # n = 10 spans 2^3 blocks of the exact Glynn pass, so several high sign
+    # columns change at block boundaries; its minors are checked against
+    # Ryser, since brute force at 9x9 is too slow here
+    @pytest.mark.parametrize("n, rows, per", [
+        (5, None, per_bruteforce),
+        (10, None, per_ryser),
+        (10, [[(i * 10 + j + 1) * 2**64 + i * j % 7 for j in range(10)]
+              for i in range(10)], per_ryser),
+    ], ids=["5-rational", "10-rational", "10-past-int64"])
+    def test_minors_against_explicit_deletion(self, n, rows, per):
+        m = (random_rational_matrix(np.random.default_rng(31), n) if rows is None
+             else NonNegMatrix(rows))
         minors = permanent_minors(m)
-        for i in range(5):
-            for j in range(5):
-                rows = [[m.entries[r][c] for c in range(5) if c != j]
-                        for r in range(5) if r != i]
-                assert minors[i][j] == per_bruteforce(NonNegMatrix(tuple(map(tuple, rows))))
+        for i in range(n):
+            for j in range(n):
+                kept = [[m.entries[r][c] for c in range(n) if c != j]
+                        for r in range(n) if r != i]
+                assert minors[i][j] == per(NonNegMatrix(tuple(map(tuple, kept))))
 
     def test_minors_1x1(self):
         assert permanent_minors(NonNegMatrix(((7,),))) == [[1]]
@@ -386,18 +395,20 @@ class TestFloatPass:
         assert log_permanent(tiny) == pytest.approx(-600 * math.log(10), rel=1e-15)
         assert marginals(tiny).entries == ((1.0, 0.0), (0.0, 1.0))
 
-    def test_float_minors_match_exact(self):
+    # n = 7 is a single block of the float Glynn pass; n = 14 spans 2^3
+    @pytest.mark.parametrize("n", [7, 14])
+    def test_float_minors_match_exact(self, n):
         # A is not prescaled for its minors, which entries on no perfect
         # matching still enter: here minor (1, 0) is entry (0, 1)
         assert permanent_minors(NonNegMatrix(((1.0, 2.0), (0.0, 3.0)))) == [
             [3.0, 0.0], [2.0, 1.0]]
         rng = np.random.default_rng(53)
-        rows = [[int(x) for x in row] for row in rng.integers(0, 64, (7, 7))]
+        rows = [[int(x) for x in row] for row in rng.integers(0, 64, (n, n))]
         exact = permanent_minors(NonNegMatrix(rows))
         approx = permanent_minors(as_float(rows))
         for exact_row, approx_row in zip(exact, approx):
             for e, a in zip(exact_row, approx_row):
-                assert a == pytest.approx(e / 2 ** (DYADIC_BITS * 6), rel=1e-12)
+                assert a == pytest.approx(e / 2 ** (DYADIC_BITS * (n - 1)), rel=1e-12)
 
     def test_float_dimension_guard(self):
         with pytest.raises(ValueError, match="Ryser limit"):

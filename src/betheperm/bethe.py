@@ -185,6 +185,8 @@ def _ascend(prepared, gamma: float, tol: float, max_iter: int,
     tol = float(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if prepared is None:
         history = (float("-inf"),) if record_history else None
         return BetheResult(None, float("-inf"), 0, True, 0.0, gamma, history)

@@ -3,20 +3,21 @@
 Exact (integer or rational) input runs on Python ints: each row times the
 lcm of its denominators.  Two independent permanent algorithms are kept side
 by side: full permutation enumeration (the definition, n <= 10) and Ryser's
-inclusion-exclusion in Gray-code order (n <= 30).  Every minor comes from
-one exact pass of the Glynn formula float input takes too, and the marginal
-matrix from the minors, with per(A) = sum_j A_0j minor_0j.
+inclusion-exclusion in Gray-code order (n <= 30).
 
-Float input goes through one numpy pass of Glynn's formula, in blocks of at
-most 2^10 sign vectors, on the doubly stochastic Q = diag(r) A diag(c) from
-``matrices.prescale``, the matrix the optimizer of ``bethe`` starts from.
-The pass gives log per(A) and the marginal matrix together.  Q's rows and
-columns sum to 1, so nothing overflows or underflows whatever the scale of A.
-Measured against exact integer evaluation of the benchmark's dyadic
-``bounds`` inputs, n = 6..16, each in 12 row and column orders, log per(A)
-is within 1.5e-14 (3.5e-13, three units in the last place, on copies scaled
-by 2^+-100) and marginal rows and columns sum to 1 within 1.4e-14; the
-tests hold n <= 12 to 1e-12.
+Every minor comes from one blocked pass of Glynn's formula, and every
+marginal matrix, exact or float, is x_ij minor_ij(x) / per(x) from one such
+pass on a matrix x with A's marginals, where per(x) = sum_j x_0j minor_0j(x).
+Exact input takes x = diag(d) A on Python ints, so its marginals are exact
+Fractions.  Float input takes x = Q, the doubly stochastic diag(r) A diag(c)
+from ``matrices.prescale`` that the optimizer of ``bethe`` starts from, in
+numpy blocks of at most 2^10 sign vectors; the same pass gives log per(A).
+Q's rows and columns sum to 1, so nothing overflows or underflows whatever
+the scale of A.  Measured against exact integer evaluation of the
+benchmark's dyadic ``bounds`` inputs, n = 6..16, each in 12 row and column
+orders, log per(A) is within 1.5e-14 (3.5e-13, three units in the last
+place, on copies scaled by 2^+-100) and marginal rows and columns sum to 1
+within 1.4e-14; the tests hold n <= 12 to 1e-12.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def per_ryser(matrix: NonNegMatrix) -> Scalar:
     """
     if not matrix.is_exact:
         with np.errstate(over="ignore"):
-            return float(np.exp(_marginal_pass(matrix, prescale(matrix))[0]))
+            return float(np.exp(log_permanent(matrix)))
     n = matrix.n
     _check_ryser_limit(n)
     rows, scales = _integer_rows(matrix)
@@ -154,20 +155,22 @@ def per_ryser(matrix: NonNegMatrix) -> Scalar:
     return _unscale(total, scales)
 
 
-def _glynn(q: np.ndarray) -> tuple[Scalar, np.ndarray]:
-    """2^(n-1) per(q) and 2^(n-1) times each minor of q, by Glynn's formula
+def _glynn(q: np.ndarray) -> np.ndarray:
+    """2^(n-1) times each minor of q, by Glynn's formula
 
         per(q) = 2^(1-n) * sum over d in {-1, 1}^n with d_0 = 1 of
                  (prod_j d_j) * prod_i (sum_j q_ij d_j).
 
     The formula is multilinear in q, so minor ij, its derivative in q_ij, is
-    the same sum with row i's factor replaced by d_j.  Sign vectors go in
-    blocks: the k low bits form a fixed table of 2^k rows, and a Python loop
-    runs over the high bits with no matrix product inside.  A block's row
-    sums are the fixed low-bit table plus one vector from its high signs.
-    Its signed products e add to E, whose one product E^T d after the loop
-    gives the low minor columns.  A high column's sign is constant within a
-    block, so the block adds e's column sums times that sign to the column.
+    the same sum with row i's factor replaced by d_j, and per(q) =
+    sum_j q_0j minor_0j.  Sign vectors go in blocks: the k low bits form a
+    fixed table of 2^k rows, and a Python loop runs over the high bits with
+    no matrix product inside.  A block's row sums are the fixed low-bit table
+    plus one vector from its high signs.  Its unsigned products e are added
+    to E, or subtracted when its high signs multiply to -1; one product of
+    E^T with the table's rows times their low signs, after the loop, gives
+    the low minor columns.  A high column's sign is constant within a block,
+    so the block adds e's low-signed column sums times that sign to it.
 
     On an object array of Python ints the sums are exact ints; no numpy
     int64, which wraps past 2^63, enters them.
@@ -179,43 +182,20 @@ def _glynn(q: np.ndarray) -> tuple[Scalar, np.ndarray]:
     d[:, 1:] = 1 - 2 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1)
     low_sign = d[:, 1:].prod(axis=1)
     s_low = d @ q[:, :k + 1].T  # s_low[b, i] = sum_{j <= k} q_ij d_bj
-    total = 0
     e_sum = np.zeros_like(s_low)
     minors = np.zeros((n, n), dtype=q.dtype)
     for code in range(1 << high):
         signs = (1 - 2 * ((code >> np.arange(high)) & 1)).astype(q.dtype)
         s = s_low + q[:, k + 1:] @ signs
-        # e[b, i]: signed product of s[b] over every row but i
+        # e[b, i]: product of s[b] over every row but i
         e = np.ones_like(s)
         np.cumprod(s[:, :-1], axis=1, out=e[:, 1:])
         e[:, :-1] *= np.cumprod(s[:, :0:-1], axis=1)[:, ::-1]
-        e *= (low_sign * signs.prod())[:, None]
-        total += e[:, 0] @ s[:, 0]
-        e_sum += e
-        minors[:, k + 1:] += np.outer(e.sum(axis=0), signs)
-    minors[:, :k + 1] = e_sum.T @ d
-    return total, minors
-
-
-def _float_pass(prepared) -> tuple[float, np.ndarray | None]:
-    """log per(A) and the marginal matrix of float input, from
-    ``prepared = prescale(A)``.
-
-    ``prescale`` sets the entries on no perfect matching to 0 (they are on
-    no permutation of nonzero weight) and scales the rest to Q =
-    diag(r) A diag(c).  One Glynn pass on Q then gives both: log per A =
-    log per Q - shift, and A shares Q's marginal matrix Q_ij minor_ij(Q) /
-    per Q.  A zero permanent is decided from the support (``prepared`` is
-    None) and gives (-inf, None).
-    """
-    if prepared is None:
-        return float("-inf"), None
-    _, _, q, _, shift = prepared
-    per_q, minors_q = _glynn(q)  # both 2^(n-1) times their value
-    # a marginal below the rounding error of Glynn's signed sum can come out
-    # slightly negative; the minors of a nonnegative matrix are not
-    return (math.log(math.ldexp(per_q, 1 - len(q))) - shift,
-            np.maximum(q * minors_q / per_q, 0.0))
+        sign = -1 if code.bit_count() & 1 else 1  # the product of the high signs
+        (np.add if sign > 0 else np.subtract)(e_sum, e, out=e_sum)
+        minors[:, k + 1:] += np.outer(low_sign @ e, sign * signs)
+    minors[:, :k + 1] = e_sum.T @ (d * low_sign[:, None])
+    return minors
 
 
 def log_permanent(matrix: NonNegMatrix) -> float:
@@ -284,32 +264,47 @@ def permanent_minors(matrix: NonNegMatrix) -> list[list[Scalar]]:
     n = matrix.n
     _check_ryser_limit(n)
     if not matrix.is_exact:
-        return np.ldexp(_glynn(matrix.numpy())[1], 1 - n).tolist()
+        return np.ldexp(_glynn(matrix.numpy()), 1 - n).tolist()
     rows, scales = _integer_rows(matrix)
-    minors = _glynn(np.array(rows, dtype=object))[1].tolist()
+    minors = _glynn(np.array(rows, dtype=object)).tolist()
     denominator = math.prod(scales) << (n - 1)
     return [[Fraction(m * d, denominator) for m in row] for d, row in zip(scales, minors)]
 
 
 def _marginal_pass(matrix: NonNegMatrix, prepared
                    ) -> tuple[float, list | np.ndarray | None]:
-    """log per(A) and the marginal rows A_ij minor_ij / per(A), from one pass.
+    """log per(A) and the marginal rows A_ij minor_ij / per(A), from one
+    ``_glynn`` pass on a matrix x with A's marginal matrix
+    x_ij minor_ij(x) / per(x), where per(x) = sum_j x_0j minor_0j(x).
 
-    Float input takes both from the Glynn pass on ``prepared``, which is
-    ``prescale(matrix)``.  Exact input does not read ``prepared``: it takes
-    the Fraction minors and per(A) = sum_j A_0j minor_0j from them, so the
-    marginals are exact.  A zero permanent gives (-inf, None).
+    Exact input takes x = B = diag(d) A from ``_integer_rows`` and does not
+    read ``prepared``: the marginals are exact Fractions, and per(A) =
+    per(B) / prod(d).  Float input takes x = Q from ``prepared``, which is
+    ``prescale(matrix)`` and is 0 on every entry on no perfect matching:
+    log per(A) = log per(Q) - shift.  A zero permanent gives (-inf, None); on
+    float input the support decides it (``prepared`` is None).
     """
-    _check_ryser_limit(matrix.n)
-    if not matrix.is_exact:
-        return _float_pass(prepared)
-    minors = permanent_minors(matrix)
-    rows = matrix.entries
-    total = sum(a * m for a, m in zip(rows[0], minors[0]))
-    if total == 0:
+    n = matrix.n
+    _check_ryser_limit(n)
+    if matrix.is_exact:
+        rows, scales = _integer_rows(matrix)
+        x = np.array(rows, dtype=object)
+    elif prepared is None:
         return float("-inf"), None
-    return log_scalar(total), [[a * m / total for a, m in zip(row, minor)]
-                               for row, minor in zip(rows, minors)]
+    else:
+        _, _, x, _, shift = prepared
+    minors = _glynn(x)
+    per = x[0] @ minors[0]  # 2^(n-1) per(x), the scale of the minors
+    if not matrix.is_exact:
+        # a marginal below the rounding error of Glynn's signed sum can come out
+        # slightly negative; the minors of a nonnegative matrix are not
+        return (math.log(math.ldexp(per, 1 - n)) - shift,
+                np.maximum(x * minors / per, 0.0))
+    if per == 0:
+        return float("-inf"), None
+    return (log_scalar(Fraction(per, math.prod(scales) << (n - 1))),
+            [[Fraction(b * m, per) for b, m in zip(row, minor)]
+             for row, minor in zip(rows, minors.tolist())])
 
 
 def marginals(matrix: NonNegMatrix) -> DoublyStochMatrix:

@@ -496,6 +496,8 @@ def phi_max_search(n: int, step: float = 1e-3, within_u: bool = False) -> float:
     outer coordinates stay below 1 - GAMMA (the part not handled by the
     coordinate-merge reduction); there the maximum sits strictly below log 2.
     """
+    if not 0 < step <= 1:  # NaN included
+        raise ValueError(f"step must lie in (0, 1], got {step}")
     from scipy.special import xlogy  # deferred: importing scipy costs 0.3 s
 
     if n == 2:

@@ -40,6 +40,11 @@ from .phi import (
 ENUM_LIMIT = 7
 
 
+def _check_enum_limit(n: int) -> None:
+    if n > ENUM_LIMIT:
+        raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
+
+
 class SamplerStrandedError(RuntimeError):
     """Every retry ran out of admissible columns part-way through a sample."""
 
@@ -104,6 +109,8 @@ def nu_sample(dist: NuDistribution, rng, max_retries: int = 64) -> Permutation:
     Args:
         rng: ``numpy.random.Generator`` or a seed for one.  No global state.
     """
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be at least 1, got {max_retries}")
     rng = np.random.default_rng(rng)
     n = dist.n
     weights = dist._float_weights
@@ -142,8 +149,7 @@ def kl_mu_nu(matrix: NonNegMatrix, dist: NuDistribution) -> float:
     n = matrix.n
     if n != dist.n:
         raise ValueError(f"dimension mismatch: {n} vs {dist.n}")
-    if n > ENUM_LIMIT:
-        raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
+    _check_enum_limit(n)
     gibbs = GibbsWeights.of(matrix)
     acc = 0.0
     for sigma in itertools.permutations(range(n)):
@@ -182,8 +188,7 @@ def ordering_gap(p) -> float:
     """
     entries = _as_entries(p)
     n = len(entries)
-    if n > ENUM_LIMIT:
-        raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
+    _check_enum_limit(n)
     return _avg_tail_log_sum(entries) - sum(map(_slack_term, entries))
 
 
@@ -196,8 +201,7 @@ def ordering_gap_log_form(p) -> LogForm:
     """
     entries = [Fraction(x) for x in _as_entries(p)]
     n = len(entries)
-    if n > ENUM_LIMIT:
-        raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
+    _check_enum_limit(n)
     form: LogForm = {}
     weight = Fraction(1, math.factorial(n))
     for order in itertools.permutations(entries):
@@ -214,8 +218,7 @@ def entropy_upper_bound(matrix: NonNegMatrix) -> float:
     Tight for the paired all-ones block matrix.
     """
     n = matrix.n
-    if n > ENUM_LIMIT:
-        raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
+    _check_enum_limit(n)
     weights = _marginals(matrix)
     acc = bp_objective(matrix, weights, 0.0)
     for row in weights.entries:

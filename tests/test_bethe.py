@@ -253,6 +253,16 @@ class TestOptimize:
         assert result.gradient_residual > 0
         validate_doubly_stochastic(result.optimizer_P, tol=1e-9)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_needs_a_step(self, max_iter):
+        # with no step the residual stays infinite and every padded check
+        # of a bound report would hold vacuously
+        a = random_positive_matrix(np.random.default_rng(13), 5)
+        with pytest.raises(ValueError, match="max_iter"):
+            optimize(a, -1.0, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter"):
+            bound_report(a, max_iter=max_iter)
+
 
 def _scaling_fit_error(log_q, log_s):
     """Largest misfit of log s - log q to u_i + v_j on the support of q,
@@ -512,50 +522,35 @@ class TestBoundReport:
         with pytest.raises(ZeroPermanentError):
             bound_report(NonNegMatrix(((1.0, 0.0), (0.0, 0.0))))
 
-    def test_float_input_takes_one_glynn_pass(self, monkeypatch):
-        rng = np.random.default_rng(71)
-        a = random_positive_matrix(rng, 7)
-        expected_per = log_permanent(a)
-        expected_marg = beta_objective(a, marginals(a))
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_one_glynn_pass_per_call(self, monkeypatch, exact):
+        if exact:
+            a = random_rational_matrix(np.random.default_rng(73), 6)
+            per = per_ryser(a)
+            minors = permanents.permanent_minors(a)
+            expected = tuple(tuple(Fraction(a.entries[i][j]) * minors[i][j] / per
+                                   for j in range(6)) for i in range(6))
+            expected_per = math.log(per.numerator) - math.log(per.denominator)
+        else:
+            a = random_positive_matrix(np.random.default_rng(71), 7)
+            expected = marginals(a).entries
+            expected_per = log_permanent(a)
         passes = []
-        float_pass = permanents._float_pass
+        glynn = permanents._glynn
 
-        def counting(prepared):
-            passes.append(prepared)
-            return float_pass(prepared)
+        def counting(x):
+            passes.append(x)
+            return glynn(x)
 
-        monkeypatch.setattr(permanents, "_float_pass", counting)
+        monkeypatch.setattr(permanents, "_glynn", counting)
+        weights = marginals(a)
+        assert len(passes) == 1
+        assert weights.entries == expected
+        if exact:
+            assert all(isinstance(x, Fraction) for row in weights.entries for x in row)
+        passes.clear()
         report = bound_report(a)
         assert len(passes) == 1
-        assert report.log_per == expected_per
-        assert report.log_beta_marginals == expected_marg
-
-    def test_exact_input_takes_one_minors_walk(self, monkeypatch):
-        a = random_rational_matrix(np.random.default_rng(73), 6)
-        per = per_ryser(a)
-        minors = permanents.permanent_minors(a)
-        expected = tuple(tuple(Fraction(a.entries[i][j]) * minors[i][j] / per
-                               for j in range(6)) for i in range(6))
-        expected_per = math.log(per.numerator) - math.log(per.denominator)
-        calls = []
-
-        def counting(name):
-            original = getattr(permanents, name)
-
-            def call(matrix):
-                calls.append(name)
-                return original(matrix)
-            return call
-
-        for name in ("per_ryser", "permanent_minors"):
-            monkeypatch.setattr(permanents, name, counting(name))
-        weights = marginals(a)
-        assert calls == ["permanent_minors"]
-        assert weights.entries == expected
-        assert all(isinstance(x, Fraction) for row in weights.entries for x in row)
-        calls.clear()
-        report = bound_report(a)
-        assert calls == ["permanent_minors"]
         assert report.log_per == expected_per
         assert report.log_beta_marginals == beta_objective(a, weights)
 

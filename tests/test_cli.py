@@ -266,6 +266,12 @@ class TestBounds:
         assert code == 2
         assert "zero" in err
 
+    @pytest.mark.parametrize("command, max_iter", [("bounds", "0"), ("bethe", "-3")])
+    def test_max_iter_needs_a_step(self, capsys, tight8, command, max_iter):
+        code, out, err = run(capsys, command, tight8, "--max-iter", max_iter)
+        assert code == 2 and out == ""
+        assert "max_iter" in err
+
 
 class TestSampleAndKL:
     def test_sample_lines_are_permutations(self, capsys, ones2):

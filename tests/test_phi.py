@@ -394,6 +394,12 @@ class TestDenseSearch:
         with pytest.raises(ValueError):
             phi_max_search(4)
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, 2.0, float("nan")])
+    def test_step_outside_unit_interval_rejected(self, step):
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="step"):
+                phi_max_search(n, step=step)
+
 
 class TestLogFormMachinery:
     def test_eval_matches_float_phi(self):

@@ -166,6 +166,12 @@ class TestNuSample:
                 break
         assert stranded
 
+    @pytest.mark.parametrize("max_retries", [0, -1])
+    def test_no_attempt_is_an_argument_error(self, max_retries):
+        dist = NuDistribution(validate_doubly_stochastic([[1.0, 0.0], [0.0, 1.0]]), (0, 1))
+        with pytest.raises(ValueError, match="max_retries"):
+            nu_sample(dist, np.random.default_rng(0), max_retries=max_retries)
+
 
 class TestKL:
     def test_dimension_mismatch(self):

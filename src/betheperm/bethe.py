@@ -183,7 +183,7 @@ def _ascend(prepared, gamma: float, tol: float, max_iter: int,
     so nothing overflows.
     """
     tol = float(tol)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")

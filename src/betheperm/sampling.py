@@ -5,6 +5,11 @@ The proposal walks rows in a fixed order and picks a still-free column with
 probability proportional to the corresponding entry of a doubly stochastic
 weight matrix.  Comparing it against the weight-proportional distribution of
 a matrix yields the permanent upper bound verified here at desk scale.
+
+The KL divergence enumerates all n! permutations (n <= 7).  The ordering
+average of a row depends only on which set of coordinates follows each one,
+so it is a walk over the 2^m subsets of the row's m positive coordinates,
+under the same limit as the permanent kernels.
 """
 
 from __future__ import annotations
@@ -14,35 +19,41 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .bethe import bp_objective
-from .matrices import DoublyStochMatrix, NonNegMatrix, Scalar, log_scalar
+from .matrices import (
+    DoublyStochMatrix,
+    NonNegMatrix,
+    Scalar,
+    log_scalar,
+    validate_stochastic_vector,
+)
 from .permanents import (
     GibbsWeights,
     Permutation,
+    _check_ryser_limit,
     identity_permutation,
     validate_permutation,
 )
 from .permanents import marginals as _marginals
 from .phi import (
     LogForm,
-    _add_prefix_terms,
     _add_slack_terms,
     _as_entries,
     _prefix_log_sum,
     _slack_term,
+    add_log_term,
 )
 
-#: Full enumeration of n! permutations or orderings is used up to this size.
+#: ``kl_mu_nu`` enumerates all n! permutations, up to this size.
 ENUM_LIMIT = 7
 
-
-def _check_enum_limit(n: int) -> None:
-    if n > ENUM_LIMIT:
-        raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
+#: The subset walk builds its sums in tables of 2^12, so a long row's
+#: walk never holds all 2^m sums at once.
+_SUBSET_BLOCK_BITS = 12
 
 
 class SamplerStrandedError(RuntimeError):
@@ -149,7 +160,8 @@ def kl_mu_nu(matrix: NonNegMatrix, dist: NuDistribution) -> float:
     n = matrix.n
     if n != dist.n:
         raise ValueError(f"dimension mismatch: {n} vs {dist.n}")
-    _check_enum_limit(n)
+    if n > ENUM_LIMIT:
+        raise ValueError(f"n={n} exceeds the enumeration limit {ENUM_LIMIT}")
     gibbs = GibbsWeights.of(matrix)
     acc = 0.0
     for sigma in itertools.permutations(range(n)):
@@ -167,45 +179,90 @@ def kl_mu_nu(matrix: NonNegMatrix, dist: NuDistribution) -> float:
 # Ordering-averaged log tail sums and the entropy upper bound
 # ---------------------------------------------------------------------------
 
-def _avg_tail_log_sum(row: Sequence[Scalar]) -> float:
-    """Average over all orderings of  sum_k p_k log(sum of p over k's tail).
+def _subset_table(values: Sequence[Scalar], start: Scalar = 0,
+                  size: int = 0) -> tuple[list, list[int]]:
+    """start + p(T) and size + |T| for every subset T of ``values``, the
+    empty one first.  Each sum is a smaller subset's sum plus one value, so
+    the sums are exact on int and Fraction input and sums of nonnegative
+    terms on float input."""
+    sums, sizes = [start], [size]
+    for x in values:
+        sums += [s + x for s in sums]
+        sizes += [k + 1 for k in sizes]
+    return sums, sizes
 
-    The tail of k under an ordering contains k itself and everything placed
-    after it: its prefix in the reversed ordering.  The orderings are closed
-    under reversal, so this is the average of prefix sums, which stay exact
-    on rational input.
+
+def _subset_sums(values: Sequence[Scalar]) -> Iterator[tuple[Scalar, int]]:
+    """(p(T), |T|) for every nonempty subset T of ``values``.  Each subset H
+    of the values past the first ``_SUBSET_BLOCK_BITS`` starts one table of
+    the first values' subsets at p(H), so the walk holds 2^12 + 2^(m - 12)
+    sums at a time, not 2^m."""
+    low, high = values[:_SUBSET_BLOCK_BITS], values[_SUBSET_BLOCK_BITS:]
+    for start, size in zip(*_subset_table(high)):
+        sums, sizes = _subset_table(low, start, size)
+        first = 1 if size == 0 else 0  # skip the empty subset
+        yield from zip(sums[first:], sizes[first:])
+
+
+def _tail_sets(row: Sequence[Scalar]
+               ) -> tuple[list[Fraction], Iterator[tuple[Scalar, int]]]:
+    """c(s) for s = 0..m-1, and (p(T), |T|) for every nonempty set T of the
+    m positive coordinates of ``row``.
+
+    Under a uniformly random ordering, coordinate k's tail (k and everything
+    placed after it) is T with probability c(|T| - 1) for each T that holds
+    k, where c(s) = s! (m - 1 - s)! / m!.  Summing p_k over k in T gives
+
+        E[sum_k p_k log(tail_k)] = sum_T c(|T| - 1) p(T) log p(T),
+
+    2^m - 1 terms in place of m! m; zero coordinates change no tail sum.
     """
-    total = sum(_prefix_log_sum(order) for order in itertools.permutations(row))
-    return total / math.factorial(len(row))
+    support = [x for x in row if x > 0]
+    m = len(support)
+    c = [Fraction(math.factorial(s) * math.factorial(m - 1 - s), math.factorial(m))
+         for s in range(m)]
+    return c, _subset_sums(support)
+
+
+def _avg_tail_log_sum(row: Sequence[Scalar]) -> float:
+    """Average over all orderings of  sum_k p_k log(sum of p over k's tail),
+    by the subset walk of :func:`_tail_sets`.  The subset sums stay exact on
+    rational input; only the logs are floats."""
+    c, sets = _tail_sets(row)
+    by_size = [0.0] * len(c)
+    for total, size in sets:
+        by_size[size - 1] += float(total) * log_scalar(total)
+    return sum(float(w) * t for w, t in zip(c, by_size))
 
 
 def ordering_gap(p) -> float:
     """Ordering-averaged gap of one stochastic vector; at most log sqrt(2).
 
     Computes  E_orderings[ sum_k p_k log(tail_k) ] - sum_k (1 - p_k) log(1 - p_k)
-    by full enumeration (n <= 7).  Equality holds at the two-point uniform
+    by the subset walk over p's support (n up to the Ryser limit).  ``p``
+    must be a stochastic vector.  Equality holds at the two-point uniform
     vector.
     """
-    entries = _as_entries(p)
-    n = len(entries)
-    _check_enum_limit(n)
+    entries = validate_stochastic_vector(_as_entries(p)).entries
+    _check_ryser_limit(len(entries))
     return _avg_tail_log_sum(entries) - sum(map(_slack_term, entries))
 
 
 def ordering_gap_log_form(p) -> LogForm:
     """The ordering-averaged gap as an exact log-linear form (rational input).
 
-    Equals one half of the average of the gap-function forms over all
-    reorderings of ``p``; the pairing of each ordering with its reverse makes
-    that an exact identity of forms, testable without evaluating a single log.
+    The tail terms are c(|T| - 1) p(T) log p(T) over the subsets T of p's
+    support, with exact coefficients (:func:`_tail_sets`).  The form equals
+    one half of the average of the gap-function forms over all reorderings
+    of ``p``; the pairing of each ordering with its reverse makes that an
+    exact identity of forms, testable without evaluating a single log.
     """
-    entries = [Fraction(x) for x in _as_entries(p)]
-    n = len(entries)
-    _check_enum_limit(n)
+    entries = [Fraction(x) for x in validate_stochastic_vector(_as_entries(p)).entries]
+    _check_ryser_limit(len(entries))
+    c, sets = _tail_sets(entries)
     form: LogForm = {}
-    weight = Fraction(1, math.factorial(n))
-    for order in itertools.permutations(entries):
-        _add_prefix_terms(form, order, weight)
+    for total, size in sets:
+        add_log_term(form, total, c[size - 1] * total)
     _add_slack_terms(form, entries, Fraction(-1))
     return form
 
@@ -214,11 +271,10 @@ def entropy_upper_bound(matrix: NonNegMatrix) -> float:
     """Ordering-averaged upper bound on log per(A) at the exact marginal matrix.
 
     Evaluates  sum_e P_e log(A_e/P_e) + sum_i E_orderings[sum_k P_ik log(tail)]
-    with P the marginal matrix of A; full enumeration per row (n <= 7).
-    Tight for the paired all-ones block matrix.
+    with P the marginal matrix of A; each row's average is a walk over the
+    subsets of its support (n up to the Ryser limit).  Tight for the paired
+    all-ones block matrix.
     """
-    n = matrix.n
-    _check_enum_limit(n)
     weights = _marginals(matrix)
     acc = bp_objective(matrix, weights, 0.0)
     for row in weights.entries:
@@ -228,7 +284,9 @@ def entropy_upper_bound(matrix: NonNegMatrix) -> float:
 
 def entropy_upper_bound_sampled(matrix: NonNegMatrix, num_orders: int,
                                 rng) -> tuple[float, float]:
-    """Monte Carlo version of :func:`entropy_upper_bound` for larger n.
+    """Monte Carlo version of :func:`entropy_upper_bound`, for n where its
+    2^n-term subset walk per row is too slow.  Both take the exact marginals,
+    so both stop at the Ryser limit.
 
     One uniformly random ordering is shared across rows per sample, which
     keeps the estimator unbiased by linearity.  Returns (estimate, standard

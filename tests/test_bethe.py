@@ -263,6 +263,15 @@ class TestOptimize:
         with pytest.raises(ValueError, match="max_iter"):
             bound_report(a, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9])
+    def test_tolerance_must_be_positive(self, tol):
+        # no residual is <= NaN, so a NaN tolerance would run every iteration
+        a = random_positive_matrix(np.random.default_rng(13), 5)
+        with pytest.raises(ValueError, match="tolerance"):
+            optimize(a, -1.0, tol=tol, max_iter=50)
+        with pytest.raises(ValueError, match="tolerance"):
+            bound_report(a, tol=tol, max_iter=50)
+
 
 def _scaling_fit_error(log_q, log_s):
     """Largest misfit of log s - log q to u_i + v_j on the support of q,

@@ -272,6 +272,12 @@ class TestBounds:
         assert code == 2 and out == ""
         assert "max_iter" in err
 
+    @pytest.mark.parametrize("command", ["bounds", "bethe"])
+    def test_nan_tolerance_is_input_error(self, capsys, tight8, command):
+        code, out, err = run(capsys, command, tight8, "--tol", "nan")
+        assert code == 2 and out == ""
+        assert "tolerance" in err
+
 
 class TestSampleAndKL:
     def test_sample_lines_are_permutations(self, capsys, ones2):

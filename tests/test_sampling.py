@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from betheperm import sampling
 from betheperm import (
     AbsoluteContinuityError,
     GibbsWeights,
@@ -27,10 +29,20 @@ from betheperm import (
     nu_prob,
     nu_sample,
     ones,
+    per_ryser,
     validate_doubly_stochastic,
 )
-from betheperm.phi import merge_log_forms, phi_log_form, eval_log_form
+from betheperm.phi import (
+    _add_prefix_terms,
+    _add_slack_terms,
+    _prefix_log_sum,
+    _slack_term,
+    eval_log_form,
+    merge_log_forms,
+    phi_log_form,
+)
 from tests.test_matrices import identity_matrix, random_rational_matrix
+from tests.test_permanents import as_float, exact_log_per
 
 LOG_SQRT2 = 0.5 * math.log(2.0)
 
@@ -69,6 +81,37 @@ def random_simplex_point(rng, n):
         raw[0] = Fraction(1)
     total = sum(raw)
     return tuple(x / total for x in raw)
+
+
+def enumerated_gap(p):
+    """The ordering-averaged gap by enumerating all n! orderings: a
+    coordinate's tail is its prefix in the reversed ordering, and the
+    orderings are closed under reversal.  fsum keeps the n! terms' sum
+    correctly rounded."""
+    total = math.fsum(_prefix_log_sum(order) for order in itertools.permutations(p))
+    return total / math.factorial(len(p)) - math.fsum(map(_slack_term, p))
+
+
+def enumerated_gap_form(p):
+    """The ordering-averaged gap form by enumerating all n! orderings."""
+    entries = [Fraction(x) for x in p]
+    form = {}
+    weight = Fraction(1, math.factorial(len(entries)))
+    for order in itertools.permutations(entries):
+        _add_prefix_terms(form, order, weight)
+    _add_slack_terms(form, entries, Fraction(-1))
+    return form
+
+
+@st.composite
+def rational_simplex_points(draw, max_n=7):
+    """Stochastic vectors with n <= max_n from a few small numerators, so
+    zeros and repeated values are common."""
+    raw = draw(st.lists(st.sampled_from([0, 0, 1, 1, 2, 3, 5, 8]),
+                        min_size=1, max_size=max_n))
+    if sum(raw) == 0:
+        raw[0] = 1
+    return tuple(Fraction(x, sum(raw)) for x in raw)
 
 
 class TestNuProb:
@@ -271,6 +314,27 @@ class TestEntropyBound:
             assert log_permanent(a) <= bound + 1e-10
             assert bound <= beta_star + n * LOG_SQRT2 + 1e-10
 
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_dominates_log_permanent_past_enumeration(self, n):
+        # dyadic floats with about a quarter zeros and a positive diagonal,
+        # against the exact integer permanent
+        rng = np.random.default_rng(53 + n)
+        rows = [[int(x) if x >= 16 else 0 for x in row]
+                for row in rng.integers(0, 64, (n, n))]
+        for i in range(n):
+            rows[i][i] = max(rows[i][i], 16)
+        assert entropy_upper_bound(as_float(rows)) >= exact_log_per(rows) - 1e-10
+
+    @pytest.mark.parametrize("n", [3, 6, 9, 12])
+    def test_exact_input_dominates_log_permanent(self, n):
+        rng = np.random.default_rng(59 + n)
+        rows = [[int(x) for x in row] for row in rng.integers(0, 5, (n, n))]
+        for i in range(n):
+            rows[i][i] = max(rows[i][i], 1)
+        a = NonNegMatrix(tuple(tuple(Fraction(x, 4) for x in row) for row in rows))
+        log_per = math.log(per_ryser(NonNegMatrix(rows))) - n * math.log(4)
+        assert entropy_upper_bound(a) >= log_per - 1e-10
+
     def test_sampled_estimate_matches_exact(self):
         rng = np.random.default_rng(23)
         a = NonNegMatrix(tuple(tuple(float(x) for x in row)
@@ -307,6 +371,47 @@ class TestOrderingGap:
             for order in itertools.permutations(range(n)):
                 merge_log_forms(rhs, phi_log_form([p[i] for i in order]), weight)
             assert lhs == rhs
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(rational_simplex_points())
+    def test_subset_walk_matches_enumeration(self, p):
+        form = enumerated_gap_form(p)
+        floats = tuple(float(x) for x in p)
+        value = enumerated_gap(floats)
+        # two-bit tables split every row past two coordinates into blocks,
+        # which the default table size reaches only past twelve
+        for bits in (sampling._SUBSET_BLOCK_BITS, 2):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sampling, "_SUBSET_BLOCK_BITS", bits)
+                assert ordering_gap_log_form(p) == form
+                assert abs(ordering_gap(floats) - value) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_past_the_enumeration_limit(self, n):
+        rng = np.random.default_rng(61 + n)
+        p = random_simplex_point(rng, n)
+        value = ordering_gap(p)
+        assert value <= LOG_SQRT2 + 1e-12
+        assert value == pytest.approx(eval_log_form(ordering_gap_log_form(p)), abs=1e-12)
+
+    def test_walk_limit(self):
+        p = (Fraction(1, 31),) * 31
+        for function in (ordering_gap, ordering_gap_log_form):
+            with pytest.raises(ValueError, match="Ryser limit"):
+                function(p)
+
+    @pytest.mark.parametrize("p, message", [
+        ((Fraction(-1, 2), Fraction(3, 2)), "negative"),
+        ((-0.5, 1.5), "negative"),
+        ((float("nan"), 1.0), "finite"),
+        ((Fraction(7, 10), Fraction(7, 10)), "sum"),
+        ((0.7, 0.7), "sum"),
+        ((Fraction(1, 2), Fraction(1, 3)), "sum"),
+    ])
+    def test_rejects_a_non_stochastic_vector(self, p, message):
+        for function in (ordering_gap, ordering_gap_log_form):
+            with pytest.raises(ValueError, match=message):
+                function(p)
 
     def test_pairing_identity_float(self):
         rng = np.random.default_rng(37)
